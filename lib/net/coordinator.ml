@@ -143,17 +143,19 @@ let drop_replica t slot =
   Metrics.incr (m t) Metrics.Repl_dropped
 
 (* Ship the primary's unshipped replication-log tail to the replica.
-   Used after commit fan-out and re-replication; a pull failure leaves
-   [shipped] alone (the next mutation retries), a push failure drops the
-   replica. *)
+   [false] means the tail never left the primary: the pull failed, so the
+   primary is gone and [shipped] stays put.  A refused push or an
+   unreadable pull reply drops the replica, and the slot runs
+   unreplicated from then on. *)
 let ship_slot t i =
   let slot = t.slots.(i) in
   match slot.replica with
-  | None -> ()
+  | None -> true
   | Some rep -> (
     match slot.primary (Protocol.Wal_pull (string_of_int slot.shipped)) with
-    | Ok (Protocol.Wal_records body) -> (
-      match rep (Protocol.Wal_push body) with
+    | Error _ -> false
+    | Ok (Protocol.Wal_records body) ->
+      (match rep (Protocol.Wal_push body) with
       | Ok (Protocol.Output _) -> (
         match Wire.parse_records_body body with
         | records ->
@@ -161,8 +163,11 @@ let ship_slot t i =
             (fun (lsn, _) -> if lsn >= slot.shipped then slot.shipped <- lsn + 1)
             records
         | exception Wire.Malformed _ -> ())
-      | Ok _ | Error _ -> drop_replica t slot)
-    | Ok _ | Error _ -> ())
+      | Ok _ | Error _ -> drop_replica t slot);
+      true
+    | Ok _ ->
+      drop_replica t slot;
+      true)
 
 (* Losing node [i] kills every local branch it hosted: transactions still
    open at the coordinator with [i] among their participants can never
@@ -178,26 +183,27 @@ let doom_open_txns t i =
 
 (* Re-apply one decided-commit transaction's statements for node [i],
    straight through the autocommit path (each statement re-logs to the
-   promoted primary's rlog, so it ships onward to any fresh replica). *)
+   primary's rlog, so it ships onward to any replica). *)
 let reapply t d i =
   List.iter
     (fun (nd, stmt) ->
       if nd = i then ignore (t.slots.(i).primary (Protocol.Exec_line stmt)))
     d.d_stmts;
-  d.d_durable <- i :: d.d_durable;
   Metrics.incr (m t) Metrics.Txn2pc_in_doubt_resolved
 
 (* In-doubt resolution: a freshly promoted primary replayed only the
    *shipped* log, which never contains a distributed branch that had not
-   committed locally.  Every decided-commit transaction this node
-   participated in but is not yet durable on is replayed here, oldest
-   first, off the coordinator's decision log — the kill-between-prepare-
-   and-commit window closes to "committed everywhere". *)
+   committed locally and shipped.  Every decided-commit transaction this
+   node participated in but is not yet durable on is replayed here,
+   oldest first, off the coordinator's decision log — the kill-between-
+   prepare-and-commit window closes to "committed everywhere". *)
 let resolve_in_doubt t i =
   List.iter
     (fun d ->
-      if List.mem i d.d_participants && not (List.mem i d.d_durable) then
-        reapply t d i)
+      if List.mem i d.d_participants && not (List.mem i d.d_durable) then begin
+        reapply t d i;
+        d.d_durable <- i :: d.d_durable
+      end)
     (List.rev t.decisions)
 
 (* Close the durability gap after failover: attach a fresh, empty replica
@@ -211,7 +217,7 @@ let attach_replica t i =
     slot.replica <- Some rep;
     slot.shipped <- 0;
     Metrics.incr (m t) Metrics.Repl_replicas_attached;
-    ship_slot t i
+    ignore (ship_slot t i)
 
 (* Promote node [i]'s replica to primary.  The replica replays its whole
    received log through its session (charged), after which it serves the
@@ -297,35 +303,54 @@ let exec_mut t i line =
       in
       match slot.primary (Protocol.Exec_line line) with
       | Error _ -> refail ()
-      | Ok (Protocol.Blocked s) -> raise (Stmt_blocked (parse_holders s))
-      | Ok (Protocol.Aborted msg) -> raise (Stmt_aborted msg)
-      | Ok (Protocol.Failed _ as resp) -> Ok resp (* no mutation, nothing to ship *)
-      | Ok (Protocol.Output _ as resp) -> (
-        match slot.replica with
-        | None -> Ok resp
-        | Some rep -> (
-          match slot.primary (Protocol.Wal_pull (string_of_int slot.shipped)) with
-          | Error _ -> refail ()
-          | Ok (Protocol.Wal_records body) -> (
-            match rep (Protocol.Wal_push body) with
-            | Ok (Protocol.Output _) ->
-              (match Wire.parse_records_body body with
-              | records ->
-                List.iter
-                  (fun (lsn, _) -> if lsn >= slot.shipped then slot.shipped <- lsn + 1)
-                  records
-              | exception Wire.Malformed _ -> ());
-              Ok resp
-            | Ok _ | Error _ ->
-              (* replica refused or died: run unreplicated from here on *)
-              drop_replica t slot;
-              Ok resp)
-          | Ok _ ->
-            drop_replica t slot;
-            Ok resp))
-      | Ok resp -> Ok resp
+      | Ok (Protocol.Output _ as resp) -> if ship_slot t i then Ok resp else refail ()
+      | Ok resp -> Ok resp (* no mutation, nothing to ship *)
   in
   go ~retried:false
+
+let enlist t cx i =
+  if not (List.mem i cx.participants) then begin
+    cx.participants <- i :: cx.participants;
+    Metrics.incr (m t) Metrics.Txn2pc_participants
+  end
+
+(* Send one statement to node [i] under the transaction.  No
+   failover-retry here: if the primary dies, the branch (and its locks
+   and effects) died with it — promotion dooms the transaction and the
+   statement reports the abort. *)
+let txn_send t cx i line =
+  enlist t cx i;
+  let slot = t.slots.(i) in
+  if slot.down then Error (node_error i)
+  else
+    match
+      slot.primary (Protocol.Txn_exec (string_of_int cx.gtid ^ " " ^ line))
+    with
+    | Error _ -> (
+      ignore (promote_replica t i);
+      match cx.doomed with
+      | Some reason -> raise (Stmt_aborted ("transaction aborted: " ^ reason))
+      | None -> Error (node_error i))
+    | Ok resp -> Ok resp
+
+(* One mutation on node [i].  Autocommit goes through [exec_mut]
+   (failover-retry, ship before ack); inside a transaction it runs on the
+   participant branch, and replicable statements are remembered for
+   in-doubt replay. *)
+let mutate t cx i line =
+  match
+    match cx with None -> exec_mut t i line | Some cx -> txn_send t cx i line
+  with
+  | Error e -> Error e
+  | Ok (Protocol.Output out) ->
+    (match cx with
+    | Some cx when Node.replicable line -> cx.tstmts <- (i, line) :: cx.tstmts
+    | _ -> ());
+    Ok out
+  | Ok (Protocol.Failed msg) -> Error msg
+  | Ok (Protocol.Blocked s) -> raise (Stmt_blocked (parse_holders s))
+  | Ok (Protocol.Aborted msg) -> raise (Stmt_aborted msg)
+  | Ok _ -> Error (Printf.sprintf "unexpected response from node %d" i)
 
 (* ------------------------------------------------------------- routing *)
 
@@ -423,14 +448,15 @@ let sub_retrieve (src : View_def.source) =
   Printf.sprintf "retrieve (%s.all)%s" rel
     (match quals with [] -> "" | qs -> " where " ^ String.concat " and " qs)
 
-(* Fetch and merge one statement's tuples from a set of nodes; the
-   cluster's simulated time for the statement is the max across nodes
-   (partitions execute in parallel). *)
-let fetch_from t nodes stmt =
+(* Gather one request's tuples from a set of nodes, [send i] asking node
+   [i]; [what] names the request in errors.  The cluster's simulated
+   time for the statement is the max across nodes (partitions execute in
+   parallel). *)
+let gather t nodes what send =
   let rec go acc ms = function
     | [] -> Ok (List.concat (List.rev acc), ms)
     | i :: rest -> (
-      match call t i (Protocol.Fetch stmt) with
+      match send i with
       | Error e -> Error e
       | Ok (Protocol.Failed msg) -> Error msg
       | Ok (Protocol.Blocked s) -> raise (Stmt_blocked (parse_holders s))
@@ -442,30 +468,22 @@ let fetch_from t nodes stmt =
           if n > 0 then Metrics.incr ~n (m t) Metrics.Cluster_tuples_shipped;
           go (tuples :: acc) (Float.max ms node_ms) rest
         | exception Wire.Malformed msg -> Error ("bad tuples body: " ^ msg))
-      | Ok _ -> Error "unexpected response to fetch")
+      | Ok _ -> Error ("unexpected response to " ^ what))
   in
   go [] 0.0 nodes
 
+(* Fetch and merge one statement's tuples.  Autocommit reads fail over
+   and retry; inside a transaction they run on the participant branches,
+   so partition reads take S locks and see the branch's own writes. *)
+let fetch_from t cx nodes stmt =
+  gather t nodes "fetch" (fun i ->
+      match cx with
+      | None -> call t i (Protocol.Fetch stmt)
+      | Some cx -> txn_send t cx i stmt)
+
 let probe_from t nodes ~attr ~stmt keys =
   let body = Wire.join_probe_body ~attr ~stmt keys in
-  let rec go acc ms = function
-    | [] -> Ok (List.concat (List.rev acc), ms)
-    | i :: rest -> (
-      match call t i (Protocol.Join_probe body) with
-      | Error e -> Error e
-      | Ok (Protocol.Failed msg) -> Error msg
-      | Ok (Protocol.Blocked s) -> raise (Stmt_blocked (parse_holders s))
-      | Ok (Protocol.Aborted msg) -> raise (Stmt_aborted msg)
-      | Ok (Protocol.Tuples reply) -> (
-        match Wire.parse_tuples_body reply with
-        | node_ms, tuples ->
-          let n = List.length tuples in
-          if n > 0 then Metrics.incr ~n (m t) Metrics.Cluster_tuples_shipped;
-          go (tuples :: acc) (Float.max ms node_ms) rest
-        | exception Wire.Malformed msg -> Error ("bad tuples body: " ^ msg))
-      | Ok _ -> Error "unexpected response to join probe")
-  in
-  go [] 0.0 nodes
+  gather t nodes "join probe" (fun i -> call t i (Protocol.Join_probe body))
 
 let project projection tuple =
   match projection with
@@ -563,7 +581,7 @@ let join_retrieve t (def : View_def.t) projection ~suffix =
     let rec go acc ms = function
       | [] -> Ok (List.rev acc, ms)
       | src :: rest -> (
-        match fetch_from t (all_nodes t) (sub_retrieve src) with
+        match fetch_from t None (all_nodes t) (sub_retrieve src) with
         | Error e -> Error e
         | Ok (tuples, node_ms) -> go (tuples :: acc) (Float.max ms node_ms) rest)
     in
@@ -579,7 +597,7 @@ let join_retrieve t (def : View_def.t) projection ~suffix =
           (base, step.View_def.left_attr, side, step.View_def.right_attr)
         else (side, step.View_def.right_attr, base, step.View_def.left_attr)
       in
-      (match fetch_from t (all_nodes t) (sub_retrieve small) with
+      (match fetch_from t None (all_nodes t) (sub_retrieve small) with
       | Error e -> Error e
       | Ok (small_tuples, ms1) -> (
         let keys = Hashtbl.create 64 in
@@ -609,17 +627,20 @@ let join_retrieve t (def : View_def.t) projection ~suffix =
 
 (* A retrieve (or proc body) routed as tuples.  Single-source retrieves
    ship the original statement verbatim — each node restricts and
-   projects its own partition; multi-source ones take the join path. *)
-let retrieve_tuples t line (r : Ast.retrieve) ~suffix =
+   projects its own partition; multi-source ones take the join path,
+   which a transaction refuses. *)
+let retrieve_tuples t cx line (r : Ast.retrieve) ~suffix =
   match Interp.bind_retrieve_projected t.scratch r with
   | exception Interp.Runtime_error msg -> fail "%s" msg
   | def, projection -> (
     match View_def.sources def with
     | [ _ ] -> (
       let rel = Relation.name (List.hd (View_def.relations def)) in
-      match fetch_from t (target_nodes t rel r.Ast.quals) line with
+      match fetch_from t cx (target_nodes t rel r.Ast.quals) line with
       | Error e -> fail "%s" e
       | Ok (tuples, ms) -> tuple_result t ?suffix tuples ms)
+    | _ when Option.is_some cx ->
+      fail "cross-shard joins are not supported inside a distributed transaction"
     | _ -> join_retrieve t def projection ~suffix)
 
 (* ------------------------------------------------- per-command routing *)
@@ -642,28 +663,34 @@ let route_ddl t line ~on_success =
         on_success ();
         ok_out output
       | i :: rest -> (
-        match exec_mut t i line with
-        | Error e -> fail "%s" e
-        | Ok (Protocol.Output _) -> go rest
-        | Ok (Protocol.Failed msg) -> fail "%s" msg
-        | Ok _ -> fail "unexpected response from node %d" i)
+        match mutate t None i line with Error e -> fail "%s" e | Ok _ -> go rest)
     in
     go (all_nodes t)
 
-let exec_on_nodes t nodes line ~parse ~describe =
+let exec_on_nodes t cx nodes line ~parse ~describe =
   let rec go total = function
     | [] -> Ok total
     | i :: rest -> (
-      match exec_mut t i line with
+      match mutate t cx i line with
       | Error e -> Error e
-      | Ok (Protocol.Output out) -> (
+      | Ok out -> (
         match parse out with
         | Some n -> go (total + n) rest
-        | None -> Error (Printf.sprintf "unparseable %s output from node %d" describe i))
-      | Ok (Protocol.Failed msg) -> Error msg
-      | Ok _ -> Error (Printf.sprintf "unexpected response from node %d" i))
+        | None -> Error (Printf.sprintf "unparseable %s output from node %d" describe i)))
   in
   go 0 nodes
+
+(* The nodes a delete or replace runs on.  Inside a transaction the write
+   must pin one owner: a broadcast write could not be undone exactly-once
+   across promotions. *)
+let write_nodes t cx what rel quals =
+  if Option.is_some cx && point_node t rel quals = None then
+    Error
+      (Printf.sprintf
+         "a %s inside a distributed transaction must pin %s's partition attribute \
+          with '='"
+         what rel)
+  else Ok (target_nodes t rel quals)
 
 let quals_local rel (quals : Ast.qual list) =
   List.for_all
@@ -700,12 +727,12 @@ let quals_syntax quals =
 let rehome_replace t rel (values : (string * Ast.literal) list) quals info =
   let nodes = target_nodes t rel quals in
   let fetch_stmt = Printf.sprintf "retrieve (%s.all)%s" rel (quals_syntax quals) in
-  match fetch_from t nodes fetch_stmt with
+  match fetch_from t None nodes fetch_stmt with
   | Error e -> fail "%s" e
   | Ok (victims, _ms) -> (
     let delete_stmt = Printf.sprintf "delete from %s%s" rel (quals_syntax quals) in
     match
-      exec_on_nodes t nodes delete_stmt
+      exec_on_nodes t None nodes delete_stmt
         ~parse:(scan_count "deleted %d tuples from %s")
         ~describe:"delete"
     with
@@ -726,18 +753,35 @@ let rehome_replace t rel (values : (string * Ast.literal) list) quals info =
         | tuple :: rest -> (
           let fields = rewrite tuple in
           let dest = owner t (snd (List.hd fields)) in
-          match exec_mut t dest (append_syntax rel fields) with
-          | Ok (Protocol.Output _) ->
+          match mutate t None dest (append_syntax rel fields) with
+          | Ok _ ->
             info.count <- info.count + 1;
             put rest
-          | Ok (Protocol.Failed msg) -> fail "%s" msg
-          | Ok _ -> fail "unexpected response from node %d" dest
           | Error e -> fail "%s" e)
       in
       put victims))
 
-let route_cmd t line (cmd : Ast.command) =
+(* Route one statement.  [cx] is the client's open distributed
+   transaction ([None] for autocommit).  It picks only the transport, in
+   [mutate] and [fetch_from]; what a transaction cannot do is refused
+   before any node is contacted. *)
+let route t cx line (cmd : Ast.command) =
+  let in_txn = Option.is_some cx in
+  let with_rel rel k =
+    match Hashtbl.find_opt t.rels rel with
+    | None -> fail "unknown relation %S" rel
+    | Some info -> k info
+  in
+  (* cardinality change, remembered for a transaction's rollback *)
+  let count rel info d =
+    info.count <- info.count + d;
+    Option.iter (fun cx -> cx.deltas <- (rel, d) :: cx.deltas) cx
+  in
   match cmd with
+  | (Ast.Create _ | Ast.Index _ | Ast.Define_proc _ | Ast.Strategy _) when in_txn ->
+    fail "DDL is not supported inside a distributed transaction"
+  | (Ast.Explain _ | Ast.Show _ | Ast.Help | Ast.Reset_cost) when in_txn ->
+    fail "not supported inside a distributed transaction"
   | Ast.Create { rel; attrs } ->
     route_ddl t line ~on_success:(fun () ->
         Hashtbl.replace t.rels rel { count = 0; attrs })
@@ -745,82 +789,68 @@ let route_cmd t line (cmd : Ast.command) =
     route_ddl t line ~on_success:(fun () -> ())
   | Ast.Define_proc { name; body } ->
     route_ddl t line ~on_success:(fun () -> Hashtbl.replace t.procs name body)
-  | Ast.Append { rel; values } -> (
-    match Hashtbl.find_opt t.rels rel with
-    | None -> fail "unknown relation %S" rel
-    | Some info -> (
-      let dest =
-        match partition_attr t rel with
-        | Some pattr -> (
-          match List.assoc_opt pattr values with
-          | Some lit -> owner t (value_of_literal lit)
-          | None -> 0 (* node 0 reports the missing-attribute error *))
-        | None -> 0
-      in
-      Metrics.incr (m t) Metrics.Cluster_stmts_routed;
-      match exec_mut t dest line with
-      | Error e -> fail "%s" e
-      | Ok (Protocol.Output _) ->
-        info.count <- info.count + 1;
-        ok_out (Printf.sprintf "appended 1 tuple to %s (%d total)" rel info.count)
-      | Ok (Protocol.Failed msg) -> fail "%s" msg
-      | Ok _ -> fail "unexpected response from node %d" dest))
-  | Ast.Delete { rel; quals } -> (
-    match Hashtbl.find_opt t.rels rel with
-    | None -> fail "unknown relation %S" rel
-    | Some info -> (
-      if not (quals_local rel quals) then
-        fail "delete restriction must reference only %s" rel
-      else
-        match
-          exec_on_nodes t (target_nodes t rel quals) line
-            ~parse:(scan_count "deleted %d tuples from %s")
-            ~describe:"delete"
-        with
+  | Ast.Append { rel; values } ->
+    with_rel rel (fun info ->
+        let dest =
+          match partition_attr t rel with
+          | Some pattr -> (
+            match List.assoc_opt pattr values with
+            | Some lit -> owner t (value_of_literal lit)
+            | None -> 0 (* node 0 reports the missing-attribute error *))
+          | None -> 0
+        in
+        Metrics.incr (m t) Metrics.Cluster_stmts_routed;
+        match mutate t cx dest line with
         | Error e -> fail "%s" e
-        | Ok n ->
-          info.count <- info.count - n;
-          ok_out (Printf.sprintf "deleted %d tuples from %s" n rel)))
-  | Ast.Replace { rel; values; quals } -> (
-    match Hashtbl.find_opt t.rels rel with
-    | None -> fail "unknown relation %S" rel
-    | Some info -> (
-      if not (quals_local rel quals) then
-        fail "replace restriction must reference only %s" rel
-      else
+        | Ok _ ->
+          count rel info 1;
+          ok_out (Printf.sprintf "appended 1 tuple to %s (%d total)" rel info.count))
+  | Ast.Delete { rel; quals } ->
+    with_rel rel (fun info ->
+        if not (quals_local rel quals) then
+          fail "delete restriction must reference only %s" rel
+        else
+          match
+            Result.bind (write_nodes t cx "delete" rel quals) (fun nodes ->
+                exec_on_nodes t cx nodes line
+                  ~parse:(scan_count "deleted %d tuples from %s")
+                  ~describe:"delete")
+          with
+          | Error e -> fail "%s" e
+          | Ok n ->
+            count rel info (-n);
+            ok_out (Printf.sprintf "deleted %d tuples from %s" n rel))
+  | Ast.Replace { rel; values; quals } ->
+    with_rel rel (fun info ->
         let rehomes =
           match partition_attr t rel with
           | Some pattr -> List.mem_assoc pattr values
           | None -> false
         in
-        if rehomes then rehome_replace t rel values quals info
+        if not (quals_local rel quals) then
+          fail "replace restriction must reference only %s" rel
+        else if rehomes && in_txn then
+          fail
+            "replacing the partition attribute inside a distributed transaction is \
+             not supported"
+        else if rehomes then rehome_replace t rel values quals info
         else
           match
-            exec_on_nodes t (target_nodes t rel quals) line
-              ~parse:(scan_count "replaced %d tuples in %s")
-              ~describe:"replace"
+            Result.bind (write_nodes t cx "replace" rel quals) (fun nodes ->
+                exec_on_nodes t cx nodes line
+                  ~parse:(scan_count "replaced %d tuples in %s")
+                  ~describe:"replace")
           with
           | Error e -> fail "%s" e
-          | Ok n -> ok_out (Printf.sprintf "replaced %d tuples in %s" n rel)))
-  | Ast.Retrieve r -> retrieve_tuples t line r ~suffix:None
+          | Ok n -> ok_out (Printf.sprintf "replaced %d tuples in %s" n rel))
+  | Ast.Retrieve r -> retrieve_tuples t cx line r ~suffix:None
   | Ast.Exec name -> (
     match Hashtbl.find_opt t.procs name with
     | None -> fail "unknown procedure %S" name
-    | Some body -> (
-      let suffix = Some (Interp.strategy_name t.scratch) in
-      match Interp.bind_retrieve_projected t.scratch body with
-      | exception Interp.Runtime_error msg -> fail "%s" msg
-      | def, projection -> (
-        match View_def.sources def with
-        | [ _ ] -> (
-          (* single-relation proc: every node serves its partition from
-             its own manager, so the paper's strategies (and their
-             caches) do the work *)
-          let rel = Relation.name (List.hd (View_def.relations def)) in
-          match fetch_from t (target_nodes t rel body.Ast.quals) line with
-          | Error e -> fail "%s" e
-          | Ok (tuples, ms) -> tuple_result t ?suffix tuples ms)
-        | _ -> join_retrieve t def projection ~suffix)))
+    | Some body ->
+      (* a single-relation proc is served by every node's own manager, so
+         the paper's strategies (and their caches) do the work *)
+      retrieve_tuples t cx line body ~suffix:(Some (Interp.strategy_name t.scratch)))
   | Ast.Explain _ | Ast.Show _ | Ast.Help -> (
     (* node 0's local view stands in for the cluster *)
     Metrics.incr (m t) Metrics.Cluster_stmts_routed;
@@ -858,12 +888,6 @@ let route_cmd t line (cmd : Ast.command) =
    promoted.  Gtid order doubles as age order — larger is younger, which
    is what the deadlock victim choice keys on. *)
 
-let enlist t cx i =
-  if not (List.mem i cx.participants) then begin
-    cx.participants <- i :: cx.participants;
-    Metrics.incr (m t) Metrics.Txn2pc_participants
-  end
-
 (* Global abort: fan [Txn_abort] to every participant (presumed abort —
    a node that never enlisted, or already dropped the branch, aborts
    trivially), roll the coordinator's cardinality cache back, and forget
@@ -885,171 +909,12 @@ let abort_ctxn t cx =
   Hashtbl.remove t.waits cx.gtid;
   Metrics.incr (m t) Metrics.Txn2pc_aborts
 
-(* Either the statement failed ordinarily, or the node it needed died
-   mid-transaction (dooming the whole transaction on promotion). *)
-let txn_error cx msg =
-  match cx.doomed with
-  | Some reason -> raise (Stmt_aborted ("transaction aborted: " ^ reason))
-  | None -> fail "%s" msg
-
-(* Route one statement to node [i] under the transaction.  No
-   failover-retry here: if the primary dies, the branch (and its locks
-   and effects) died with it — promotion dooms the transaction and the
-   caller aborts it globally. *)
-let txn_send t cx i line =
-  enlist t cx i;
-  let slot = t.slots.(i) in
-  if slot.down then Error (node_error i)
-  else
-    match
-      slot.primary (Protocol.Txn_exec (string_of_int cx.gtid ^ " " ^ line))
-    with
-    | Error _ ->
-      ignore (promote_replica t i);
-      Error (node_error i)
-    | Ok resp -> Ok resp
-
-let txn_mut t cx i line =
-  match txn_send t cx i line with
-  | Error e -> Error e
-  | Ok (Protocol.Output out) ->
-    if Node.replicable line then cx.tstmts <- (i, line) :: cx.tstmts;
-    Ok out
-  | Ok (Protocol.Blocked s) -> raise (Stmt_blocked (parse_holders s))
-  | Ok (Protocol.Aborted msg) -> raise (Stmt_aborted msg)
-  | Ok (Protocol.Failed msg) -> Error msg
-  | Ok _ -> Error (Printf.sprintf "unexpected response from node %d" i)
-
-(* Fetch-and-merge under the transaction: like [fetch_from] but through
-   [Txn_exec], so partition reads take S locks inside the branch. *)
-let txn_fetch_from t cx nodes stmt =
-  let rec go acc ms = function
-    | [] -> Ok (List.concat (List.rev acc), ms)
-    | i :: rest -> (
-      match txn_send t cx i stmt with
-      | Error e -> Error e
-      | Ok (Protocol.Failed msg) -> Error msg
-      | Ok (Protocol.Blocked s) -> raise (Stmt_blocked (parse_holders s))
-      | Ok (Protocol.Aborted msg) -> raise (Stmt_aborted msg)
-      | Ok (Protocol.Tuples body) -> (
-        match Wire.parse_tuples_body body with
-        | node_ms, tuples ->
-          let n = List.length tuples in
-          if n > 0 then Metrics.incr ~n (m t) Metrics.Cluster_tuples_shipped;
-          go (tuples :: acc) (Float.max ms node_ms) rest
-        | exception Wire.Malformed msg -> Error ("bad tuples body: " ^ msg))
-      | Ok _ -> Error "unexpected response to fetch")
-  in
-  go [] 0.0 nodes
-
-let txn_retrieve t cx line (r : Ast.retrieve) ~suffix =
-  match Interp.bind_retrieve_projected t.scratch r with
-  | exception Interp.Runtime_error msg -> fail "%s" msg
-  | def, _projection -> (
-    match View_def.sources def with
-    | [ _ ] -> (
-      let rel = Relation.name (List.hd (View_def.relations def)) in
-      match txn_fetch_from t cx (target_nodes t rel r.Ast.quals) line with
-      | Error e -> txn_error cx e
-      | Ok (tuples, ms) -> tuple_result t ?suffix tuples ms)
-    | _ ->
-      fail "cross-shard joins are not supported inside a distributed transaction")
-
-(* Statement routing inside an open transaction.  Mutations must resolve
-   to a single owning node (a broadcast delete could not be undone
-   exactly-once across promotions); reads may broadcast — they are
-   idempotent and their S locks are per-branch anyway. *)
-let txn_route t cx line (cmd : Ast.command) =
-  match cmd with
-  | Ast.Append { rel; values } -> (
-    match Hashtbl.find_opt t.rels rel with
-    | None -> fail "unknown relation %S" rel
-    | Some info -> (
-      let dest =
-        match partition_attr t rel with
-        | Some pattr -> (
-          match List.assoc_opt pattr values with
-          | Some lit -> owner t (value_of_literal lit)
-          | None -> 0 (* node 0 reports the missing-attribute error *))
-        | None -> 0
-      in
-      Metrics.incr (m t) Metrics.Cluster_stmts_routed;
-      match txn_mut t cx dest line with
-      | Error e -> txn_error cx e
-      | Ok _ ->
-        info.count <- info.count + 1;
-        cx.deltas <- (rel, 1) :: cx.deltas;
-        ok_out (Printf.sprintf "appended 1 tuple to %s (%d total)" rel info.count)))
-  | Ast.Delete { rel; quals } -> (
-    match Hashtbl.find_opt t.rels rel with
-    | None -> fail "unknown relation %S" rel
-    | Some info -> (
-      if not (quals_local rel quals) then
-        fail "delete restriction must reference only %s" rel
-      else
-        match point_node t rel quals with
-        | None ->
-          fail
-            "a delete inside a distributed transaction must pin %s's partition \
-             attribute with '='"
-            rel
-        | Some i -> (
-          Metrics.incr (m t) Metrics.Cluster_stmts_routed;
-          match txn_mut t cx i line with
-          | Error e -> txn_error cx e
-          | Ok out -> (
-            match scan_count "deleted %d tuples from %s" out with
-            | None -> fail "unparseable delete output from node %d" i
-            | Some n ->
-              info.count <- info.count - n;
-              cx.deltas <- (rel, -n) :: cx.deltas;
-              ok_out (Printf.sprintf "deleted %d tuples from %s" n rel)))))
-  | Ast.Replace { rel; values; quals } -> (
-    match Hashtbl.find_opt t.rels rel with
-    | None -> fail "unknown relation %S" rel
-    | Some _ -> (
-      if not (quals_local rel quals) then
-        fail "replace restriction must reference only %s" rel
-      else
-        let rehomes =
-          match partition_attr t rel with
-          | Some pattr -> List.mem_assoc pattr values
-          | None -> false
-        in
-        if rehomes then
-          fail
-            "replacing the partition attribute inside a distributed transaction \
-             is not supported"
-        else
-          match point_node t rel quals with
-          | None ->
-            fail
-              "a replace inside a distributed transaction must pin %s's \
-               partition attribute with '='"
-              rel
-          | Some i -> (
-            Metrics.incr (m t) Metrics.Cluster_stmts_routed;
-            match txn_mut t cx i line with
-            | Error e -> txn_error cx e
-            | Ok out -> (
-              match scan_count "replaced %d tuples in %s" out with
-              | None -> fail "unparseable replace output from node %d" i
-              | Some n -> ok_out (Printf.sprintf "replaced %d tuples in %s" n rel)))))
-  | Ast.Retrieve r -> txn_retrieve t cx line r ~suffix:None
-  | Ast.Exec name -> (
-    match Hashtbl.find_opt t.procs name with
-    | None -> fail "unknown procedure %S" name
-    | Some body ->
-      let suffix = Some (Interp.strategy_name t.scratch) in
-      txn_retrieve t cx line body ~suffix)
-  | Ast.Create _ | Ast.Index _ | Ast.Define_proc _ | Ast.Strategy _ ->
-    fail "DDL is not supported inside a distributed transaction"
-  | Ast.Explain _ | Ast.Show _ | Ast.Help | Ast.Reset_cost ->
-    fail "not supported inside a distributed transaction"
-  | Ast.Save _ -> fail "save is not supported on a cluster"
-  | Ast.Begin -> fail "a transaction is already open"
-  | Ast.Commit | Ast.Abort ->
-    fail "internal: transaction control escaped the 2PC layer"
+(* A committed participant is durable once its log tail has shipped to
+   its replica.  If the pull fails the primary is gone: promote now, so
+   the in-doubt sweep re-applies the branch on the replica. *)
+let settle t d i =
+  if ship_slot t i then d.d_durable <- i :: d.d_durable
+  else ignore (promote_replica t i)
 
 (* Two-phase commit, presumed abort.  Phase one sends [Txn_prepare] to
    every participant: yes iff the local branch is still live.  All-yes
@@ -1116,13 +981,11 @@ let commit_ctxn t cx =
             let slot = t.slots.(i) in
             if not slot.down then
               match slot.primary (Protocol.Txn_commit gtid) with
-              | Ok (Protocol.Output _) ->
-                d.d_durable <- i :: d.d_durable;
-                ship_slot t i
+              | Ok (Protocol.Output _) -> settle t d i
               | Ok _ ->
                 (* a promoted primary with no branch: repair in place *)
                 reapply t d i;
-                ship_slot t i
+                settle t d i
               | Error _ ->
                 (* promotion resolves this decision via the in-doubt sweep *)
                 ignore (promote_replica t i)
@@ -1218,7 +1081,7 @@ let exec_client t ~client line =
         `Done (ok_out "transaction started")
       | Ast.Commit | Ast.Abort -> `Done (fail "no open transaction")
       | _ -> (
-        match route_cmd t line cmd with
+        match route t None line cmd with
         | r -> `Done r
         | exception Stmt_blocked holders -> `Park holders
         | exception Stmt_aborted msg -> `Done (aborted_result msg)))
@@ -1238,7 +1101,7 @@ let exec_client t ~client line =
           (* bounded victim-abort retries: each round either makes
              progress or parks; the bound only guards surprises *)
           let rec attempt budget =
-            match txn_route t cx line cmd with
+            match route t (Some cx) line cmd with
             | r ->
               Hashtbl.remove t.waits cx.gtid;
               `Done r

@@ -364,6 +364,101 @@ let test_txn_kill_in_doubt_commits () =
   Alcotest.(check bool) "fresh replica attached after promotion" true
     (mget c Metrics.Repl_replicas_attached >= 1)
 
+let test_txn_refusals_leave_txn_open () =
+  (* What a distributed transaction cannot run is refused before any node
+     is contacted: an ordinary error (not an abort), no participant
+     enlisted, and the transaction stays open and committable. *)
+  let requests = ref 0 in
+  let counted (link, _kill) : Coordinator.link =
+   fun req ->
+    incr requests;
+    link req
+  in
+  let links =
+    Array.init 3 (fun _ ->
+        ( counted (Coordinator.node_link (Node.create ())),
+          Some (counted (Coordinator.node_link (Node.create ()))) ))
+  in
+  let c = Coordinator.create ~links () in
+  let single = Lang.Interp.create () in
+  List.iter (check_stmt c single) setup_stmts;
+  check_stmt c single "define proc PJ as retrieve (R.v, S.w) where R.k = S.k";
+  ignore (exec_ok_c c "begin");
+  let ddl = "DDL is not supported inside a distributed transaction"
+  and local = "not supported inside a distributed transaction"
+  and join = "cross-shard joins are not supported inside a distributed transaction" in
+  List.iter
+    (fun (line, msg) ->
+      let sent = !requests and enlisted = mget c Metrics.Txn2pc_participants in
+      let r = Coordinator.exec c line in
+      Alcotest.(check string) ("message: " ^ line) msg r.Coordinator.output;
+      Alcotest.(check bool) ("refused: " ^ line) false r.Coordinator.ok;
+      Alcotest.(check bool) ("not an abort: " ^ line) false r.Coordinator.aborted;
+      Alcotest.(check int) ("no node contacted: " ^ line) sent !requests;
+      Alcotest.(check int)
+        ("no participant: " ^ line) enlisted
+        (mget c Metrics.Txn2pc_participants))
+    [
+      ("create T (k = int, v = int)", ddl);
+      ("index R btree on v", ddl);
+      ("define proc PX as retrieve (R.v) where R.v < 3", ddl);
+      ("strategy rvm", ddl);
+      ("explain retrieve (R.all) where R.v < 3", local);
+      ("show cost", local);
+      ("help", local);
+      ("reset cost", local);
+      ( "delete from R where R.v < 3",
+        "a delete inside a distributed transaction must pin R's partition attribute \
+         with '='" );
+      ( "replace R (v = 1) where R.v < 3",
+        "a replace inside a distributed transaction must pin R's partition attribute \
+         with '='" );
+      ( Printf.sprintf "replace R (k = %d) where R.k = %d" k1 (key 3),
+        "replacing the partition attribute inside a distributed transaction is not \
+         supported" );
+      ("retrieve (R.v, S.w) where R.k = S.k", join);
+      ("exec PJ", join);
+    ];
+  Alcotest.(check int) "nothing enlisted" 0 (mget c Metrics.Txn2pc_participants);
+  (* still open: a point replace commits *)
+  let replace = Printf.sprintf "replace R (v = 555) where R.k = %d" (key 4) in
+  ignore (exec_ok_c c replace);
+  Alcotest.(check string) "commit" "committed" (exec_ok_c c "commit").Coordinator.output;
+  oracle_exec single replace;
+  check_stmt c single "retrieve (R.all)";
+  Alcotest.(check int) "one commit" 1 (mget c Metrics.Txn2pc_commits);
+  Alcotest.(check int) "no abort" 0 (mget c Metrics.Txn2pc_aborts)
+
+let test_commit_durable_only_once_shipped () =
+  (* Regression: node 1's primary dies right after answering its
+     [Txn_commit], before the coordinator pulls the new log tail.  The
+     replica never received the branch, so the participant is not yet
+     durable: promotion must re-apply it off the decision log. *)
+  let die_after_commit (link, kill) : Coordinator.link =
+   fun req ->
+    let resp = link req in
+    (match req with P.Txn_commit _ -> kill () | _ -> ());
+    resp
+  in
+  let links =
+    Array.init 3 (fun i ->
+        let primary = Coordinator.node_link (Node.create ()) in
+        ( (if i = 1 then die_after_commit primary else fst primary),
+          Some (fst (Coordinator.node_link (Node.create ()))) ))
+  in
+  let c = Coordinator.create ~links () in
+  let single = Lang.Interp.create () in
+  let append = Printf.sprintf "append to R (k = %d, v = 1)" k1 in
+  check_stmt c single "create R (k = int, v = int)";
+  ignore (exec_ok_c c "begin");
+  ignore (exec_ok_c c append);
+  Alcotest.(check string) "commit" "committed" (exec_ok_c c "commit").Coordinator.output;
+  oracle_exec single append;
+  check_stmt c single (Printf.sprintf "retrieve (R.all) where R.k = %d" k1);
+  Alcotest.(check int) "one failover" 1 (mget c Metrics.Cluster_failovers);
+  Alcotest.(check int) "branch re-applied off the decision log" 1
+    (mget c Metrics.Txn2pc_in_doubt_resolved)
+
 let test_double_kill_same_slot () =
   (* Re-replication closes the failover durability gap: after the first
      kill the promoted primary gets a fresh replica and ships its full
@@ -696,6 +791,10 @@ let () =
             test_txn_kill_in_doubt_commits;
           Alcotest.test_case "cross-node deadlock aborts the youngest" `Quick
             test_txn_deadlock_victim;
+          Alcotest.test_case "refused statements leave the transaction open" `Quick
+            test_txn_refusals_leave_txn_open;
+          Alcotest.test_case "participant durable only once its commit shipped" `Quick
+            test_commit_durable_only_once_shipped;
           QCheck_alcotest.to_alcotest test_txn_interleaving_differential;
         ] );
       ("stats", [ Alcotest.test_case "merged cluster view" `Quick test_stats_merge ]);
