@@ -653,51 +653,17 @@ let print_ext_nway () =
   print_newline ();
   ctx
 
-let run_adaptive ~ctx ~model ~params ~seed =
-  (* Mirror the driver's op sequence against the Adaptive selector. *)
-  let db = Workload.Database.build ~seed ~ctx ~model params in
-  let a =
-    Proc.Adaptive.create
-      ~config:{ Proc.Adaptive.default_config with Proc.Adaptive.window = 10 }
-      ~io:db.Workload.Database.io ~record_bytes:100 ()
-  in
-  let ids =
-    List.map (fun def -> Proc.Adaptive.register a def) (Workload.Database.all_defs db)
-  in
-  let arr = Array.of_list ids in
-  let q = int_of_float params.Params.q and k = int_of_float params.Params.k in
-  let prng = Util.Prng.create (seed + 1) in
-  let ops = Array.init (q + k) (fun i -> if i < q then `Q else `U) in
-  Util.Prng.shuffle prng ops;
-  Storage.Cost.reset db.Workload.Database.cost;
-  Array.iter
-    (fun op ->
-      match op with
-      | `Q -> ignore (Proc.Adaptive.access a arr.(Util.Prng.int prng (Array.length arr)))
-      | `U ->
-        let changes = Workload.Database.random_update db prng in
-        let old_new =
-          Storage.Cost.with_disabled db.Workload.Database.cost (fun () ->
-              Relation.update_batch db.Workload.Database.r1 changes)
-        in
-        Proc.Adaptive.on_update a ~rel:db.Workload.Database.r1 ~changes:old_new)
-    ops;
-  let total =
-    Storage.Cost.total_ms Storage.Cost.default_charges db.Workload.Database.cost
-  in
-  let consistent = List.for_all (fun id -> Proc.Adaptive.matches_recompute a id) ids in
-  (total /. float_of_int q, Proc.Adaptive.switches a, consistent)
-
 let print_ext_adaptive () =
   print_endline "== ext-adaptive: per-procedure strategy selection (Section 8's decision problem)";
   print_endline
-    "extension: every procedure starts under CI and switches by observed conflict rate\n\
-     and object size.  Adaptive should roughly track the cheapest fixed strategy.\n";
+    "extension: the manager's runtime selector, started from CI, migrates a procedure\n\
+     when the closed-form model, fed online P and f estimates, predicts a cheaper\n\
+     strategy.  Adaptive should roughly track the cheapest fixed strategy.\n";
   let params = Workload.Driver.default_sim_params in
   let ctx = Obs.Ctx.create () in
   let table =
     Util.Ascii_table.create
-      ~header:[ "P"; "best fixed (measured)"; "adaptive"; "switches"; "ok" ]
+      ~header:[ "P"; "best fixed (measured)"; "adaptive"; "migrations"; "ok" ]
       ()
   in
   List.iter
@@ -719,17 +685,22 @@ let print_ext_adaptive () =
             | _ -> Some (Strategy.short_name r.strategy, r.measured_ms_per_query))
           None fixed
       in
-      let adaptive_ms, switches, ok =
-        run_adaptive ~ctx ~model:Model.Model1 ~params ~seed:!the_seed
+      let adaptive =
+        Workload.Driver.run_strategy ~seed:!the_seed ~adaptive:true ~model:Model.Model1
+          ~params Strategy.Cache_invalidate
       in
+      Obs.Ctx.merge_into ~into:ctx adaptive.Workload.Driver.obs;
       let best_name, best_ms = Option.get best in
       Util.Ascii_table.add_row table
         [
           Printf.sprintf "%.2f" p;
           Printf.sprintf "%s %.0f" best_name best_ms;
-          Printf.sprintf "%.0f" adaptive_ms;
-          string_of_int switches;
-          (if ok then "yes" else "NO");
+          Printf.sprintf "%.0f" adaptive.measured_ms_per_query;
+          string_of_int
+            (Obs.Metrics.get
+               (Obs.Ctx.metrics adaptive.Workload.Driver.obs)
+               Obs.Metrics.Adaptive_migrations);
+          (if adaptive.consistent then "yes" else "NO");
         ])
     [ 0.0; 0.2; 0.5; 0.8 ];
   Util.Ascii_table.print table;

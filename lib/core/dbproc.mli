@@ -116,7 +116,6 @@ module Proc : sig
   module Inval_table = Dbproc_proc.Inval_table
   module Lock_manager = Dbproc_proc.Lock_manager
   module Manager = Dbproc_proc.Manager
-  module Adaptive = Dbproc_proc.Adaptive
 end
 
 module Txn : sig

@@ -25,7 +25,6 @@ type counter =
   | View_refreshes
   | Proc_accesses
   | Proc_registrations
-  | Adaptive_switches
   | Faults_injected
   | Fault_retries
   | Fault_crashes
@@ -85,7 +84,7 @@ type counter =
   | Repl_dropped
   | Repl_replicas_attached
 
-let n_counters = 85
+let n_counters = 84
 
 (* The variant is the key into one flat int array: no hashing, no
    allocation, no closures on the charging path. *)
@@ -116,65 +115,64 @@ let index = function
   | View_refreshes -> 23
   | Proc_accesses -> 24
   | Proc_registrations -> 25
-  | Adaptive_switches -> 26
-  | Faults_injected -> 27
-  | Fault_retries -> 28
-  | Fault_crashes -> 29
-  | Recovery_replay_pages -> 30
-  | Recovery_rebuilt_views -> 31
-  | Recovery_conservative_invals -> 32
-  | Net_accepted -> 33
-  | Net_rejected -> 34
-  | Net_bytes_in -> 35
-  | Net_bytes_out -> 36
-  | Net_frames_bad -> 37
-  | Net_requests -> 38
-  | Net_requests_served -> 39
-  | Cache_admissions -> 40
-  | Cache_evictions -> 41
-  | Cache_evicted_pages -> 42
-  | Cache_readmissions -> 43
-  | Cache_fallback_recomputes -> 44
-  | Adaptive_decisions -> 45
-  | Adaptive_migrations -> 46
-  | Txn_begins -> 47
-  | Txn_commits -> 48
-  | Txn_aborts -> 49
-  | Txn_lock_waits -> 50
-  | Txn_undo_applied -> 51
-  | Txn_ilocks_broken -> 52
-  | Deadlock_cycles -> 53
-  | Deadlock_victims -> 54
-  | Net_parked -> 55
-  | Tuples_batched -> 56
-  | Batches_emitted -> 57
-  | Plan_cache_hits -> 58
-  | Plan_cache_misses -> 59
-  | Plan_cache_invalidations -> 60
-  | Plan_cache_evictions -> 61
-  | Repl_records_shipped -> 62
-  | Repl_records_received -> 63
-  | Repl_statements_replayed -> 64
-  | Cluster_stmts_routed -> 65
-  | Cluster_stmts_broadcast -> 66
-  | Cluster_tuples_shipped -> 67
-  | Cluster_joins_shipped -> 68
-  | Cluster_joins_broadcast -> 69
-  | Cluster_failovers -> 70
-  | Cluster_retries -> 71
-  | Fault_node_kills -> 72
-  | Hoivm_delta_applies -> 73
-  | Hoivm_ho_views -> 74
-  | Hoivm_heavy_keys -> 75
-  | Hoivm_lazy_flushes -> 76
-  | Txn2pc_begins -> 77
-  | Txn2pc_participants -> 78
-  | Txn2pc_prepares -> 79
-  | Txn2pc_commits -> 80
-  | Txn2pc_aborts -> 81
-  | Txn2pc_in_doubt_resolved -> 82
-  | Repl_dropped -> 83
-  | Repl_replicas_attached -> 84
+  | Faults_injected -> 26
+  | Fault_retries -> 27
+  | Fault_crashes -> 28
+  | Recovery_replay_pages -> 29
+  | Recovery_rebuilt_views -> 30
+  | Recovery_conservative_invals -> 31
+  | Net_accepted -> 32
+  | Net_rejected -> 33
+  | Net_bytes_in -> 34
+  | Net_bytes_out -> 35
+  | Net_frames_bad -> 36
+  | Net_requests -> 37
+  | Net_requests_served -> 38
+  | Cache_admissions -> 39
+  | Cache_evictions -> 40
+  | Cache_evicted_pages -> 41
+  | Cache_readmissions -> 42
+  | Cache_fallback_recomputes -> 43
+  | Adaptive_decisions -> 44
+  | Adaptive_migrations -> 45
+  | Txn_begins -> 46
+  | Txn_commits -> 47
+  | Txn_aborts -> 48
+  | Txn_lock_waits -> 49
+  | Txn_undo_applied -> 50
+  | Txn_ilocks_broken -> 51
+  | Deadlock_cycles -> 52
+  | Deadlock_victims -> 53
+  | Net_parked -> 54
+  | Tuples_batched -> 55
+  | Batches_emitted -> 56
+  | Plan_cache_hits -> 57
+  | Plan_cache_misses -> 58
+  | Plan_cache_invalidations -> 59
+  | Plan_cache_evictions -> 60
+  | Repl_records_shipped -> 61
+  | Repl_records_received -> 62
+  | Repl_statements_replayed -> 63
+  | Cluster_stmts_routed -> 64
+  | Cluster_stmts_broadcast -> 65
+  | Cluster_tuples_shipped -> 66
+  | Cluster_joins_shipped -> 67
+  | Cluster_joins_broadcast -> 68
+  | Cluster_failovers -> 69
+  | Cluster_retries -> 70
+  | Fault_node_kills -> 71
+  | Hoivm_delta_applies -> 72
+  | Hoivm_ho_views -> 73
+  | Hoivm_heavy_keys -> 74
+  | Hoivm_lazy_flushes -> 75
+  | Txn2pc_begins -> 76
+  | Txn2pc_participants -> 77
+  | Txn2pc_prepares -> 78
+  | Txn2pc_commits -> 79
+  | Txn2pc_aborts -> 80
+  | Txn2pc_in_doubt_resolved -> 81
+  | Repl_dropped -> 82
+  | Repl_replicas_attached -> 83
 
 let counter_name = function
   | Pages_read -> "pages_read"
@@ -203,7 +201,6 @@ let counter_name = function
   | View_refreshes -> "view_refreshes"
   | Proc_accesses -> "proc_accesses"
   | Proc_registrations -> "proc_registrations"
-  | Adaptive_switches -> "adaptive_switches"
   | Faults_injected -> "fault.injected"
   | Fault_retries -> "fault.retries"
   | Fault_crashes -> "fault.crashes"
@@ -271,7 +268,7 @@ let all_counters =
     Btree_range_scans; Hash_probes; Hash_inserts; Ilock_probes;
     Ilock_subscriptions; Cache_hits; Cache_misses; Rete_tokens;
     Rete_join_activations; View_refreshes; Proc_accesses; Proc_registrations;
-    Adaptive_switches; Faults_injected; Fault_retries; Fault_crashes;
+    Faults_injected; Fault_retries; Fault_crashes;
     Recovery_replay_pages; Recovery_rebuilt_views;
     Recovery_conservative_invals; Net_accepted; Net_rejected; Net_bytes_in;
     Net_bytes_out; Net_frames_bad; Net_requests; Net_requests_served;

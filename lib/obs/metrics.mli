@@ -45,7 +45,6 @@ type counter =
   | View_refreshes  (** materialized views rebuilt by full recompute *)
   | Proc_accesses  (** procedure accesses through a manager *)
   | Proc_registrations  (** procedures registered with a manager *)
-  | Adaptive_switches  (** adaptive strategy switches *)
   | Faults_injected  (** injected transient I/O failures (fault layer) *)
   | Fault_retries  (** I/Os re-issued after an injected failure *)
   | Fault_crashes  (** scheduled crash points fired *)

@@ -537,90 +537,6 @@ let lm_matches_ilock_property =
       in
       ilock_owners = lm_owners)
 
-(* ----------------------------------------------------------- Adaptive *)
-
-let adaptive_fixture ?(config = Adaptive.default_config) () =
-  let fx = make_fixture () in
-  let a = Adaptive.create ~config ~io:fx.io ~record_bytes:100 () in
-  (fx, a)
-
-let adaptive_update fx a k new_tuple =
-  match
-    Cost.with_disabled fx.cost (fun () -> Relation.fetch_by_key fx.r ~attr:"k" (Value.Int k))
-  with
-  | (rid, _) :: _ ->
-    let old_new =
-      Cost.with_disabled fx.cost (fun () -> Relation.update_batch fx.r [ (rid, new_tuple) ])
-    in
-    Adaptive.on_update a ~rel:fx.r ~changes:old_new
-  | [] -> ()
-
-let test_adaptive_starts_ci () =
-  let fx, a = adaptive_fixture () in
-  let id = Adaptive.register a (select_def fx "P" 5 15) in
-  Alcotest.(check bool) "starts in CI" true (Adaptive.mode_of a id = Adaptive.Ci);
-  Alcotest.(check int) "result served" 10 (List.length (Adaptive.access a id))
-
-let test_adaptive_write_heavy_switches_to_ar () =
-  let fx, a =
-    adaptive_fixture ~config:{ Adaptive.default_config with Adaptive.window = 10 } ()
-  in
-  let id = Adaptive.register a (select_def fx "P" 5 15) in
-  (* all conflicts, no reads: p_hat = 1 *)
-  for i = 0 to 11 do
-    adaptive_update fx a (5 + (i mod 10)) (kv (5 + (i mod 10)) (100 + i))
-  done;
-  Alcotest.(check bool) "switched to AR" true (Adaptive.mode_of a id = Adaptive.Ar);
-  Alcotest.(check bool) "switch counted" true (Adaptive.switches a >= 1);
-  Alcotest.(check bool) "still correct" true (Adaptive.matches_recompute a id)
-
-let test_adaptive_read_heavy_large_object_switches_to_uc () =
-  let fx, a =
-    adaptive_fixture ~config:{ Adaptive.default_config with Adaptive.window = 10 } ()
-  in
-  (* 20-tuple object spans 5 pages (4 tuples/page) -> large *)
-  let id = Adaptive.register a (select_def fx "P" 0 20) in
-  for _ = 1 to 12 do
-    ignore (Adaptive.access a id)
-  done;
-  Alcotest.(check bool) "switched to UC" true (Adaptive.mode_of a id = Adaptive.Uc);
-  (* UC now maintains through updates *)
-  adaptive_update fx a 3 (kv 77 3);
-  Alcotest.(check bool) "maintained correctly" true (Adaptive.matches_recompute a id);
-  Alcotest.(check int) "reflects update" 19 (List.length (Adaptive.access a id))
-
-let test_adaptive_small_object_stays_ci () =
-  let fx, a =
-    adaptive_fixture ~config:{ Adaptive.default_config with Adaptive.window = 10 } ()
-  in
-  (* 3-tuple object fits one page: CI is the paper's choice *)
-  let id = Adaptive.register a (select_def fx "P" 0 3) in
-  for _ = 1 to 25 do
-    ignore (Adaptive.access a id)
-  done;
-  Alcotest.(check bool) "stays CI" true (Adaptive.mode_of a id = Adaptive.Ci)
-
-let test_adaptive_results_always_correct () =
-  let fx, a =
-    adaptive_fixture ~config:{ Adaptive.default_config with Adaptive.window = 5 } ()
-  in
-  let id = Adaptive.register a (join_def fx "P" 5 25) in
-  let prng = Dbproc.Util.Prng.create 77 in
-  for _ = 1 to 60 do
-    if Dbproc.Util.Prng.bool prng then ignore (Adaptive.access a id)
-    else begin
-      let victim = Dbproc.Util.Prng.int prng 40 in
-      adaptive_update fx a victim (kv (Dbproc.Util.Prng.int prng 50) (victim mod 10))
-    end;
-    let got = List.sort Tuple.compare (Adaptive.access a id) in
-    let expected =
-      Cost.with_disabled fx.cost (fun () ->
-          List.sort Tuple.compare (Query.Executor.run (Query.Planner.compile (join_def fx "P" 5 25))))
-    in
-    Alcotest.(check bool) "access equals recompute" true
-      (List.length got = List.length expected && List.for_all2 Tuple.equal got expected)
-  done
-
 (* ------------------------------------------------------- Inval_table *)
 
 let make_inval scheme =
@@ -753,16 +669,6 @@ let () =
           Alcotest.test_case "abort keeps breaks" `Quick test_lm_abort_keeps_breaks;
           Alcotest.test_case "region of restriction" `Quick test_lm_region_of_restriction;
           qc lm_matches_ilock_property;
-        ] );
-      ( "adaptive",
-        [
-          Alcotest.test_case "starts in CI" `Quick test_adaptive_starts_ci;
-          Alcotest.test_case "write-heavy -> AR" `Quick test_adaptive_write_heavy_switches_to_ar;
-          Alcotest.test_case "read-heavy large -> UC" `Quick
-            test_adaptive_read_heavy_large_object_switches_to_uc;
-          Alcotest.test_case "small object stays CI" `Quick test_adaptive_small_object_stays_ci;
-          Alcotest.test_case "always correct under mixed ops" `Quick
-            test_adaptive_results_always_correct;
         ] );
       ( "inval_table",
         [
