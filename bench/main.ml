@@ -10,7 +10,11 @@
      dune exec bench/main.exe -- --quota 1.0  -- seconds per bechamel test
      dune exec bench/main.exe -- --seed 7     -- workload PRNG seed (default 42)
      dune exec bench/main.exe -- --jobs 4     -- domains for the sim sweeps (default 1)
-     dune exec bench/main.exe -- --json FILE  -- machine-readable snapshot per experiment *)
+     dune exec bench/main.exe -- --json FILE  -- machine-readable snapshot per experiment
+
+   An id names a figure, an experiment or a bechamel test.  An unknown
+   id or flag, a flag without its value, or a malformed number prints
+   one line and exits 2. *)
 
 open Dbproc
 open Dbproc.Costmodel
@@ -220,26 +224,20 @@ let print_ablation_obs_overhead () =
   Printf.printf "enabled: %.3f s   disabled: %.3f s   delta: %+.1f%%\n\n" !on !off
     (if !off > 0.0 then 100.0 *. (!on -. !off) /. !off else 0.0)
 
-let print_network_figures () =
-  (* Figures 3 and 16 of the paper are network diagrams; emit the same
-     structures as Graphviz dot from a small live population. *)
+(* Figures 3 and 16 of the paper are network diagrams; emit the same
+   structures as Graphviz dot from a small live population. *)
+let print_network_figure label model =
   let params =
     { Workload.Driver.default_sim_params with Params.n = 1000.0; n1 = 1.0; n2 = 1.0 }
   in
+  let db = Workload.Database.build ~seed:3 ~model params in
+  let builder = Rete.Builder.create ~io:db.Workload.Database.io ~record_bytes:100 () in
   List.iter
-    (fun (label, model) ->
-      let db = Workload.Database.build ~seed:3 ~model params in
-      let builder =
-        Rete.Builder.create ~io:db.Workload.Database.io ~record_bytes:100 ()
-      in
-      List.iter
-        (fun def -> ignore (Rete.Builder.add_view builder def))
-        (Workload.Database.all_defs db);
-      Printf.printf "== %s: Rete network for one P1 + one P2 procedure (Graphviz dot)\n"
-        label;
-      print_string (Rete.Network.to_dot (Rete.Builder.network builder));
-      print_newline ())
-    [ ("fig3-network", Model.Model1); ("fig16-network", Model.Model2) ]
+    (fun def -> ignore (Rete.Builder.add_view builder def))
+    (Workload.Database.all_defs db);
+  Printf.printf "== %s: Rete network for one P1 + one P2 procedure (Graphviz dot)\n" label;
+  print_string (Rete.Network.to_dot (Rete.Builder.network builder));
+  print_newline ()
 
 let print_crossovers () =
   print_endline "== headline anchors";
@@ -1534,13 +1532,8 @@ let bechamel_tests () =
   in
   figure_tests @ sim_tests @ micro_tests
 
-let run_bechamel ~quota ids =
+let run_bechamel ~quota tests =
   let open Bechamel in
-  let tests =
-    match ids with
-    | [] -> bechamel_tests ()
-    | ids -> List.filter (fun t -> List.mem (Test.name t) ids) (bechamel_tests ())
-  in
   if tests <> [] then begin
     print_endline "== bechamel: wall-clock per experiment regeneration";
     let cfg =
@@ -1599,131 +1592,148 @@ let write_csv dir (fig : Figures.t) =
     Printf.printf "wrote %s\n" path
   | Figures.Region _ -> () (* region maps have no tabular form *)
 
+(* ------------------------------------------------------------- Registry *)
+
+(* Every runnable id, in run-everything order.  Selecting ids runs the
+   matching entries in this order; [engine] entries charge the engine and
+   are skipped by --no-sim. *)
+let recorded id f = (id, fun () -> record id f)
+
+let analytic =
+  List.map
+    (fun fig ->
+      ( fig.Figures.id,
+        fun () ->
+          record fig.Figures.id (fun () ->
+              print_string (Figures.render fig);
+              print_newline ();
+              print_newline ();
+              (* analytic figures charge no engine context *)
+              Obs.Ctx.create ());
+          if fig.Figures.id = "fig18" then print_crossovers () ))
+    Figures.all
+  @ [
+      ("fig3-network", fun () -> print_network_figure "fig3-network" Model.Model1);
+      ("fig16-network", fun () -> print_network_figure "fig16-network" Model.Model2);
+    ]
+
+let engine =
+  let base = Workload.Driver.default_sim_params in
+  let sim label params = print_sim_comparison ~label ~params ~model:Model.Model1 in
+  [
+    recorded "sim-model1" (print_sim_comparison ~model:Model.Model1);
+    recorded "sim-model2" (print_sim_comparison ~model:Model.Model2);
+    recorded "sim-fig4" (sim "fig4" { base with Params.c_inval = 60.0 });
+    recorded "sim-fig6" (sim "fig6" { base with Params.f = 0.01 });
+    recorded "sim-fig7" (sim "fig7" { base with Params.f = 0.0005 });
+    recorded "sim-fig9" (sim "fig9" { base with Params.z = 0.05 });
+    ("ablation-buffer", print_ablation_buffer);
+    ("ablation-yao", print_ablation_yao);
+    ("ablation-rete-shape", print_ablation_rete_shape);
+    ("ablation-obs", print_ablation_obs_overhead);
+    recorded "ext-update-mix" print_ext_update_mix;
+    recorded "ext-wal" print_ext_wal;
+    recorded "ext-faults" print_ext_faults;
+    recorded "ext-aggregates" print_ext_aggregates;
+    recorded "ext-adaptive" print_ext_adaptive;
+    recorded "ext-winregion" print_ext_winregion;
+    recorded "ext-evict" print_ext_evict;
+    recorded "ext-contention" print_ext_contention;
+    recorded "ext-failover" print_ext_failover;
+    recorded "ext-2pc" print_ext_2pc;
+    recorded "ext-nway" print_ext_nway;
+    recorded "ext-sensitivity" print_ext_sensitivity;
+    recorded "ext-latency" print_ext_latency;
+    recorded "ext-treat" print_ext_treat;
+  ]
+
 (* ----------------------------------------------------------------- Main *)
+
+let usage_error fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline ("bench: " ^ msg);
+      exit 2)
+    fmt
+
+let quota = ref 0.3
+let csv_dir : string option ref = ref None
+
+let set_flag flag v =
+  match flag with
+  | "--quota" -> (
+    match float_of_string_opt v with
+    | Some q when Float.is_finite q && q > 0.0 -> quota := q
+    | _ -> usage_error "--quota expects a positive number of seconds, got %S" v)
+  | "--csv" -> csv_dir := Some v
+  | "--seed" -> (
+    match int_of_string_opt v with
+    | Some s -> the_seed := s
+    | None -> usage_error "--seed expects an integer, got %S" v)
+  | "--jobs" -> (
+    match int_of_string_opt v with
+    | Some j when j >= 1 -> the_jobs := j
+    | _ -> usage_error "--jobs expects a positive integer, got %S" v)
+  | "--json" -> json_out := Some v
+  | _ (* --strategies *) ->
+    the_strategies :=
+      Some
+        (List.map
+           (fun name ->
+             match Strategy.of_string (String.trim name) with
+             | Some s -> s
+             | None ->
+               usage_error "--strategies: unknown strategy %S (ar|ci|avm|rvm|hoivm)" name)
+           (String.split_on_char ',' v))
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
-  let rec parse quota bechamel sim csv ids = function
-    | [] -> (quota, bechamel, sim, csv, List.rev ids)
-    | "--no-bechamel" :: rest -> parse quota false sim csv ids rest
-    | "--no-sim" :: rest -> parse quota bechamel false csv ids rest
-    | "--quota" :: v :: rest -> parse (float_of_string v) bechamel sim csv ids rest
-    | "--csv" :: dir :: rest -> parse quota bechamel sim (Some dir) ids rest
-    | "--seed" :: v :: rest ->
-      (match int_of_string_opt v with
-      | Some s -> the_seed := s
-      | None ->
-        Printf.eprintf "bench: --seed expects an integer, got %S\n" v;
-        exit 2);
-      parse quota bechamel sim csv ids rest
-    | "--jobs" :: v :: rest ->
-      (match int_of_string_opt v with
-      | Some j when j >= 1 -> the_jobs := j
-      | _ ->
-        Printf.eprintf "bench: --jobs expects a positive integer, got %S\n" v;
-        exit 2);
-      parse quota bechamel sim csv ids rest
-    | "--json" :: path :: rest ->
-      json_out := Some path;
-      parse quota bechamel sim csv ids rest
-    | "--strategies" :: v :: rest ->
-      let names = String.split_on_char ',' v |> List.map String.trim in
-      let parsed =
-        List.map
-          (fun name ->
-            match Strategy.of_string name with
-            | Some s -> s
-            | None ->
-              Printf.eprintf
-                "bench: --strategies: unknown strategy %S (ar|ci|avm|rvm|hoivm)\n" name;
-              exit 2)
-          names
-      in
-      if parsed = [] then begin
-        Printf.eprintf "bench: --strategies expects a non-empty comma list\n";
-        exit 2
-      end;
-      the_strategies := Some parsed;
-      parse quota bechamel sim csv ids rest
-    | [ (("--seed" | "--jobs" | "--json" | "--strategies") as flag) ] ->
-      Printf.eprintf "bench: %s requires a value\n" flag;
-      exit 2
-    | id :: rest -> parse quota bechamel sim csv (id :: ids) rest
+  let bechamel = ref true and sim = ref true in
+  let rec parse ids = function
+    | [] -> List.rev ids
+    | "--no-bechamel" :: rest ->
+      bechamel := false;
+      parse ids rest
+    | "--no-sim" :: rest ->
+      sim := false;
+      parse ids rest
+    | (("--quota" | "--csv" | "--seed" | "--jobs" | "--json" | "--strategies") as flag)
+      :: rest -> (
+      match rest with
+      | v :: rest when not (String.starts_with ~prefix:"--" v) ->
+        set_flag flag v;
+        parse ids rest
+      | _ -> usage_error "%s requires a value" flag)
+    | flag :: _ when String.starts_with ~prefix:"--" flag -> usage_error "unknown flag %s" flag
+    | id :: rest -> parse (id :: ids) rest
   in
-  let quota, bechamel, sim, csv, ids = parse 0.3 true true None [] args in
-  (match csv with
-  | Some dir ->
-    if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-    List.iter (write_csv dir)
-      (match ids with
-      | [] -> Figures.all
-      | ids -> List.filter (fun f -> List.mem f.Figures.id ids) Figures.all)
-  | None -> ());
-  let selected =
-    match ids with
-    | [] -> Figures.all
-    | ids -> List.filter (fun f -> List.mem f.Figures.id ids) Figures.all
-  in
+  let ids = parse [] args in
+  let registry = analytic @ engine in
+  let selected id = ids = [] || List.mem id ids in
+  (* bechamel tests build their fixtures eagerly: only when asked for *)
+  let bechamel_all = lazy (bechamel_tests ()) in
+  (match List.filter (fun id -> not (List.mem_assoc id registry)) ids with
+  | [] -> ()
+  | unknown -> (
+    let micro =
+      List.filter
+        (fun name -> not (List.mem_assoc name registry))
+        (List.map Bechamel.Test.name (Lazy.force bechamel_all))
+    in
+    match List.find_opt (fun id -> not (List.mem id micro)) unknown with
+    | None -> ()
+    | Some id ->
+      usage_error "unknown id %S; valid ids: %s" id
+        (String.concat " " (List.map fst registry @ micro))));
+  Option.iter
+    (fun dir ->
+      if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+      List.iter (write_csv dir)
+        (List.filter (fun f -> selected f.Figures.id) Figures.all))
+    !csv_dir;
   List.iter
-    (fun fig ->
-      record fig.Figures.id (fun () ->
-          print_string (Figures.render fig);
-          print_newline ();
-          print_newline ();
-          (* analytic figures charge no engine context *)
-          Obs.Ctx.create ()))
-    selected;
-  if ids = [] || List.mem "fig18" ids then print_crossovers ();
-  if List.mem "fig3-network" ids || List.mem "fig16-network" ids then print_network_figures ();
-  if sim then begin
-    let base = Workload.Driver.default_sim_params in
-    if ids = [] || List.mem "sim-model1" ids then
-      record "sim-model1" (fun () -> print_sim_comparison ~model:Model.Model1 ());
-    if ids = [] || List.mem "sim-model2" ids then
-      record "sim-model2" (fun () -> print_sim_comparison ~model:Model.Model2 ());
-    if ids = [] || List.mem "sim-fig4" ids then
-      record "sim-fig4" (fun () ->
-          print_sim_comparison ~label:"fig4" ~params:{ base with Params.c_inval = 60.0 }
-            ~model:Model.Model1 ());
-    if ids = [] || List.mem "sim-fig6" ids then
-      record "sim-fig6" (fun () ->
-          print_sim_comparison ~label:"fig6" ~params:{ base with Params.f = 0.01 }
-            ~model:Model.Model1 ());
-    if ids = [] || List.mem "sim-fig7" ids then
-      record "sim-fig7" (fun () ->
-          print_sim_comparison ~label:"fig7" ~params:{ base with Params.f = 0.0005 }
-            ~model:Model.Model1 ());
-    if ids = [] || List.mem "sim-fig9" ids then
-      record "sim-fig9" (fun () ->
-          print_sim_comparison ~label:"fig9" ~params:{ base with Params.z = 0.05 }
-            ~model:Model.Model1 ());
-    if ids = [] then begin
-      print_ablation_buffer ();
-      print_ablation_yao ();
-      print_ablation_rete_shape ()
-    end;
-    if ids = [] || List.mem "ablation-obs" ids then print_ablation_obs_overhead ();
-    if ids = [] || List.mem "ext-update-mix" ids then
-      record "ext-update-mix" print_ext_update_mix;
-    if ids = [] || List.mem "ext-wal" ids then record "ext-wal" print_ext_wal;
-    if ids = [] || List.mem "ext-faults" ids then record "ext-faults" print_ext_faults;
-    if ids = [] || List.mem "ext-aggregates" ids then
-      record "ext-aggregates" print_ext_aggregates;
-    if ids = [] || List.mem "ext-adaptive" ids then record "ext-adaptive" print_ext_adaptive;
-    if ids = [] || List.mem "ext-winregion" ids then
-      record "ext-winregion" print_ext_winregion;
-    if ids = [] || List.mem "ext-evict" ids then record "ext-evict" print_ext_evict;
-    if ids = [] || List.mem "ext-contention" ids then
-      record "ext-contention" print_ext_contention;
-    if ids = [] || List.mem "ext-failover" ids then
-      record "ext-failover" print_ext_failover;
-    if ids = [] || List.mem "ext-2pc" ids then record "ext-2pc" print_ext_2pc;
-    if ids = [] || List.mem "ext-nway" ids then record "ext-nway" print_ext_nway;
-    if ids = [] || List.mem "ext-sensitivity" ids then
-      record "ext-sensitivity" print_ext_sensitivity;
-    if ids = [] || List.mem "ext-latency" ids then record "ext-latency" print_ext_latency;
-    if ids = [] || List.mem "ext-treat" ids then record "ext-treat" print_ext_treat
-  end;
+    (fun (id, run) -> if selected id then run ())
+    (analytic @ if !sim then engine else []);
   (match !json_out with
   | Some path ->
     let doc =
@@ -1737,4 +1747,8 @@ let () =
     Obs.Export.write_file path (Obs.Export.to_string doc);
     Printf.printf "wrote %s\n" path
   | None -> ());
-  if bechamel then run_bechamel ~quota ids
+  if !bechamel then
+    run_bechamel ~quota:!quota
+      (List.filter
+         (fun t -> selected (Bechamel.Test.name t))
+         (Lazy.force bechamel_all))

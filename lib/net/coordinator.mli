@@ -48,9 +48,14 @@
     ({!Protocol.Txn_exec}), and [commit] runs presumed-abort two-phase
     commit — prepare votes, a decision record appended to the
     coordinator's own decision log (the commit point), then commit
-    fan-out with synchronous shipping.  A participant lost between
-    prepare and commit is repaired at promotion by replaying the decided
-    transaction's statements off the decision log (in-doubt resolution).
+    fan-out with synchronous shipping.  A participant is durable once its
+    branch is committed and shipped to its replica; one lost before that
+    is repaired at promotion by replaying the decided transaction's
+    statements off the decision log (in-doubt resolution).  One router
+    serves both modes: the transaction only picks the transport, and
+    what a transaction cannot do (DDL, node-0 introspection, [reset
+    cost], broadcast or re-homing writes, cross-shard joins) is refused
+    before any node is contacted, leaving the transaction open.
     Blocked statements surface as [`Park] exactly like the single-node
     server's parking contract; a coordinator-side waits-for graph over
     the holder gtids aborts the youngest transaction on a cycle.
