@@ -1594,11 +1594,11 @@ let write_csv dir (fig : Figures.t) =
 
 (* ------------------------------------------------------------- Registry *)
 
+let recorded id f = (id, fun () -> record id f)
+
 (* Every runnable id, in run-everything order.  Selecting ids runs the
    matching entries in this order; [engine] entries charge the engine and
    are skipped by --no-sim. *)
-let recorded id f = (id, fun () -> record id f)
-
 let analytic =
   List.map
     (fun fig ->

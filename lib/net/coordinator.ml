@@ -183,7 +183,7 @@ let doom_open_txns t i =
 
 (* Re-apply one decided-commit transaction's statements for node [i],
    straight through the autocommit path (each statement re-logs to the
-   primary's rlog, so it ships onward to any replica). *)
+   promoted primary's rlog, so it ships onward to any fresh replica). *)
 let reapply t d i =
   List.iter
     (fun (nd, stmt) ->
