@@ -680,18 +680,6 @@ let exec_on_nodes t cx nodes line ~parse ~describe =
   in
   go 0 nodes
 
-(* The nodes a delete or replace runs on.  Inside a transaction the write
-   must pin one owner: a broadcast write could not be undone exactly-once
-   across promotions. *)
-let write_nodes t cx what rel quals =
-  if Option.is_some cx && point_node t rel quals = None then
-    Error
-      (Printf.sprintf
-         "a %s inside a distributed transaction must pin %s's partition attribute \
-          with '='"
-         what rel)
-  else Ok (target_nodes t rel quals)
-
 let quals_local rel (quals : Ast.qual list) =
   List.for_all
     (fun (q : Ast.qual) ->
@@ -777,6 +765,20 @@ let route t cx line (cmd : Ast.command) =
     info.count <- info.count + d;
     Option.iter (fun cx -> cx.deltas <- (rel, d) :: cx.deltas) cx
   in
+  (* A delete or replace, summing the nodes' counts.  Inside a transaction
+     it must pin one owner: a broadcast write could not be undone
+     exactly-once across promotions. *)
+  let write what rel quals fmt =
+    if in_txn && point_node t rel quals = None then
+      Error
+        (Printf.sprintf
+           "a %s inside a distributed transaction must pin %s's partition attribute \
+            with '='"
+           what rel)
+    else
+      exec_on_nodes t cx (target_nodes t rel quals) line ~parse:(scan_count fmt)
+        ~describe:what
+  in
   match cmd with
   | (Ast.Create _ | Ast.Index _ | Ast.Define_proc _ | Ast.Strategy _) when in_txn ->
     fail "DDL is not supported inside a distributed transaction"
@@ -810,12 +812,7 @@ let route t cx line (cmd : Ast.command) =
         if not (quals_local rel quals) then
           fail "delete restriction must reference only %s" rel
         else
-          match
-            Result.bind (write_nodes t cx "delete" rel quals) (fun nodes ->
-                exec_on_nodes t cx nodes line
-                  ~parse:(scan_count "deleted %d tuples from %s")
-                  ~describe:"delete")
-          with
+          match write "delete" rel quals "deleted %d tuples from %s" with
           | Error e -> fail "%s" e
           | Ok n ->
             count rel info (-n);
@@ -835,12 +832,7 @@ let route t cx line (cmd : Ast.command) =
              not supported"
         else if rehomes then rehome_replace t rel values quals info
         else
-          match
-            Result.bind (write_nodes t cx "replace" rel quals) (fun nodes ->
-                exec_on_nodes t cx nodes line
-                  ~parse:(scan_count "replaced %d tuples in %s")
-                  ~describe:"replace")
-          with
+          match write "replace" rel quals "replaced %d tuples in %s" with
           | Error e -> fail "%s" e
           | Ok n -> ok_out (Printf.sprintf "replaced %d tuples in %s" n rel))
   | Ast.Retrieve r -> retrieve_tuples t cx line r ~suffix:None
