@@ -29,10 +29,47 @@ type command =
   | Commit
   | Abort
 
+module Value = Dbproc_relation.Value
+
+let value_of_literal = function
+  | L_int i -> Value.Int i
+  | L_float f -> Value.Float f
+  | L_string s -> Value.Str s
+
+let literal_of_value = function
+  | Value.Int i -> L_int i
+  | Value.Float f -> L_float f
+  | Value.Str s -> L_string s
+
+(* The printer is the lexer's inverse.  A float always carries a '.' or
+   an exponent, or it would re-lex as an int; an infinity prints as a
+   literal that overflows back to it. *)
+let float_text f =
+  if f = Float.infinity then "1e999"
+  else if f = Float.neg_infinity then "-1e999"
+  else
+    let s = Printf.sprintf "%.17g" f in
+    if String.exists (fun c -> c = '.' || c = 'e') s then s else s ^ ".0"
+
+(* A string escapes the quote, the backslash and newline — scripts and
+   WAL records are line-oriented — and writes every other byte raw. *)
+let quoted s =
+  let buf = Buffer.create (String.length s + 2) in
+  Buffer.add_char buf '"';
+  String.iter
+    (function
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.add_char buf '"';
+  Buffer.contents buf
+
 let pp_literal ppf = function
   | L_int i -> Format.fprintf ppf "%d" i
-  | L_float f -> Format.fprintf ppf "%g" f
-  | L_string s -> Format.fprintf ppf "%S" s
+  | L_float f -> Format.pp_print_string ppf (float_text f)
+  | L_string s -> Format.pp_print_string ppf (quoted s)
 
 (* Mirror a comparison across its operands: [lit op attr] is the same
    predicate as [attr (flip op) lit]. *)
@@ -110,7 +147,7 @@ let pp_command ppf = function
     Format.fprintf ppf "define proc %s as %a" name pp_retrieve body
   | Exec name -> Format.fprintf ppf "exec %s" name
   | Strategy s -> Format.fprintf ppf "strategy %s" s
-  | Save file -> Format.fprintf ppf "save %S" file
+  | Save file -> Format.fprintf ppf "save %s" (quoted file)
   | Show `Relations -> Format.pp_print_string ppf "show relations"
   | Show `Procs -> Format.pp_print_string ppf "show procs"
   | Show `Cost -> Format.pp_print_string ppf "show cost"
@@ -121,3 +158,5 @@ let pp_command ppf = function
   | Begin -> Format.pp_print_string ppf "begin transaction"
   | Commit -> Format.pp_print_string ppf "commit"
   | Abort -> Format.pp_print_string ppf "abort"
+
+let to_string cmd = Format.asprintf "%a" pp_command cmd

@@ -64,9 +64,19 @@ type command =
   | Commit  (** commit it, releasing 2PL locks *)
   | Abort  (** roll it back ([abort] or [rollback]) *)
 
-val pp_command : Format.formatter -> command -> unit
-val pp_literal : Format.formatter -> literal -> unit
-val comparison_symbol : comparison -> string
+val to_string : command -> string
+(** The one statement printer, and the lexer's inverse:
+    [Parser.parse_command (to_string c) = c] for every command whose
+    names are identifiers.  An int prints in decimal.  A float always
+    carries a dot or an exponent, so [3.0] stays a float, and the
+    infinities print as [1e999] and [-1e999].  A string escapes the
+    double quote, the backslash and newline with a backslash (newline as
+    [\n]) and writes every other byte raw, so no printed statement spans
+    two lines.  The session dump and the statements a cluster
+    coordinator sends its nodes are printed here. *)
+
+val value_of_literal : literal -> Dbproc_relation.Value.t
+val literal_of_value : Dbproc_relation.Value.t -> literal
 
 val flip_comparison : comparison -> comparison
 (** Mirror a comparison across its operands: [lit op attr] is the same

@@ -23,14 +23,18 @@ type client_state = {
 
 type txn_layer = { tm : Tm.t; clients : (int, client_state) Hashtbl.t }
 
+(* A defined procedure: the retrieve it was defined with (what the
+   session dump prints), its bound definition and its display
+   projection. *)
+type proc = { body : Ast.retrieve; def : View_def.t; projection : int list option }
+
 type t = {
   cost : Cost.t;
   io : Io.t;
   catalog : Catalog.t;
   tuple_bytes : int;
   charges : Cost.charges;
-  mutable defs : (string * (View_def.t * int list option)) list;
-      (* definition order, reversed; the int list is a display projection *)
+  mutable defs : (string * proc) list;  (* definition order, reversed *)
   mutable manager : Manager.t;
   mutable proc_ids : (string * Manager.proc_id) list;
   mutable layer : txn_layer option;
@@ -74,7 +78,6 @@ let create ?ctx ?(page_bytes = 4000) ?(tuple_bytes = 100) ?(plan_cache = true) (
   }
 
 let strategy_name t = Manager.kind_name (Manager.kind t.manager)
-let procedure_names t = List.rev_map fst t.defs
 let obs t = Cost.ctx t.cost
 let simulated_ms t = Cost.total_ms t.charges t.cost
 
@@ -85,15 +88,7 @@ let find_relation t name =
   | Some rel -> rel
   | None -> error "unknown relation %S" name
 
-let value_of_literal = function
-  | Ast.L_int i -> Value.Int i
-  | Ast.L_float f -> Value.Float f
-  | Ast.L_string s -> Value.Str s
-
-let ty_of_literal = function
-  | Ast.L_int _ -> Value.TInt
-  | Ast.L_float _ -> Value.TFloat
-  | Ast.L_string _ -> Value.TStr
+let ty_of_literal lit = Value.type_of (Ast.value_of_literal lit)
 
 let value_ty_name = function
   | Value.TInt -> "int"
@@ -121,7 +116,7 @@ let bind_restriction_term rel ((rname, attr) : string * string) op lit =
   if declared <> given then
     error "%s.%s is %s but the literal is %s" rname attr (value_ty_name declared)
       (value_ty_name given);
-  Predicate.term ~attr:pos ~op:(op_of_comparison op) ~value:(value_of_literal lit)
+  Predicate.term ~attr:pos ~op:(op_of_comparison op) ~value:(Ast.value_of_literal lit)
 
 (* Relation order: first mention in the target list, deduplicated. *)
 let target_relations (r : Ast.retrieve) =
@@ -256,7 +251,7 @@ let tuple_of_assignments t rel values =
         | Some lit ->
           if ty_of_literal lit <> a.Schema.ty then
             error "%s.%s is %s" (Relation.name rel) a.Schema.name (value_ty_name a.Schema.ty);
-          value_of_literal lit)
+          Ast.value_of_literal lit)
       (Schema.attrs schema)
   in
   if List.length provided <> Schema.arity schema then
@@ -330,108 +325,42 @@ let register_procedure t name def =
 
 (* ------------------------------------------------------- session script *)
 
-let literal_syntax = function
-  | Value.Int i -> string_of_int i
-  | Value.Float f -> Printf.sprintf "%.17g" f
-  | Value.Str s -> Printf.sprintf "%S" s
-
-let ty_syntax = function
-  | Value.TInt -> "int"
-  | Value.TFloat -> "float"
-  | Value.TStr -> "string"
-
-let op_syntax = function
-  | Predicate.Eq -> "="
-  | Predicate.Ne -> "!="
-  | Predicate.Lt -> "<"
-  | Predicate.Le -> "<="
-  | Predicate.Gt -> ">"
-  | Predicate.Ge -> ">="
-
-(* Reconstruct the retrieve statement of a stored definition. *)
-let retrieve_syntax (def : View_def.t) projection =
-  let schema = View_def.schema def in
-  let sources = View_def.sources def in
-  let offsets = View_def.source_offsets def in
-  let targets =
-    match projection with
-    | None ->
-      String.concat ", "
-        (List.map (fun (s : View_def.source) -> Relation.name s.rel ^ ".all") sources)
-    | Some positions ->
-      String.concat ", "
-        (List.map (fun pos -> (Schema.attr schema pos).Schema.name) positions)
-  in
-  let restriction_quals (src : View_def.source) =
-    let rel_name = Relation.name src.rel in
-    List.map
-      (fun (term : Predicate.term) ->
-        Printf.sprintf "%s.%s %s %s" rel_name
-          (Schema.attr (Relation.schema src.rel) term.Predicate.attr).Schema.name
-          (op_syntax term.Predicate.op)
-          (literal_syntax term.Predicate.value))
-      src.restriction
-  in
-  let join_quals =
-    List.map2
-      (fun (step : View_def.join_step) (src, _off) ->
-        let left_name = (Schema.attr schema step.View_def.left_attr).Schema.name in
-        let right_name =
-          Printf.sprintf "%s.%s"
-            (Relation.name (src : View_def.source).rel)
-            (Schema.attr (Relation.schema src.rel) step.View_def.right_attr).Schema.name
-        in
-        Printf.sprintf "%s %s %s" left_name (op_syntax step.View_def.op) right_name)
-      def.View_def.steps
-      (List.combine (List.tl sources) (List.tl offsets))
-  in
-  let quals = join_quals @ List.concat_map restriction_quals sources in
-  Printf.sprintf "retrieve (%s)%s" targets
-    (if quals = [] then "" else " where " ^ String.concat " and " quals)
+let ast_ty = function
+  | Value.TInt -> Ast.T_int
+  | Value.TFloat -> Ast.T_float
+  | Value.TStr -> Ast.T_string
 
 let session_script t =
   let buf = Buffer.create 1024 in
+  let add cmd =
+    Buffer.add_string buf (Ast.to_string cmd);
+    Buffer.add_char buf '\n'
+  in
   Buffer.add_string buf "-- session dump: replay with `procsim run <file>`\n";
   List.iter
-    (fun rel_name ->
-      let rel = Catalog.find t.catalog rel_name in
-      let schema = Relation.schema rel in
-      Buffer.add_string buf
-        (Printf.sprintf "create %s (%s)\n" rel_name
-           (String.concat ", "
-              (List.map
-                 (fun (a : Schema.attr) ->
-                   Printf.sprintf "%s = %s" a.Schema.name (ty_syntax a.Schema.ty))
-                 (Schema.attrs schema))));
+    (fun rel ->
+      let r = Catalog.find t.catalog rel in
+      let attrs = Schema.attrs (Relation.schema r) in
+      let ty (a : Schema.attr) = (a.Schema.name, ast_ty a.Schema.ty) in
+      add (Ast.Create { rel; attrs = List.map ty attrs });
       List.iter
         (fun (attr, kind) ->
-          match kind with
-          | `Btree -> Buffer.add_string buf (Printf.sprintf "index %s btree on %s\n" rel_name attr)
-          | `Hash primary ->
-            Buffer.add_string buf
-              (Printf.sprintf "index %s hash on %s%s\n" rel_name attr
-                 (if primary then " primary" else "")))
-        (Relation.index_descriptions rel);
+          add
+            (match kind with
+            | `Btree -> Ast.Index { rel; kind = `Btree; attr; primary = false }
+            | `Hash primary -> Ast.Index { rel; kind = `Hash; attr; primary }))
+        (Relation.index_descriptions r);
+      let value (a : Schema.attr) v = (a.Schema.name, Ast.literal_of_value v) in
       Cost.with_disabled t.cost (fun () ->
-          Relation.scan rel ~f:(fun _ tuple ->
-              Buffer.add_string buf
-                (Printf.sprintf "append to %s (%s)\n" rel_name
-                   (String.concat ", "
-                      (List.map2
-                         (fun (a : Schema.attr) v ->
-                           Printf.sprintf "%s = %s" a.Schema.name (literal_syntax v))
-                         (Schema.attrs schema) (Tuple.to_list tuple)))))))
+          Relation.scan r ~f:(fun _ tuple ->
+              add (Ast.Append { rel; values = List.map2 value attrs (Tuple.to_list tuple) }))))
     (Catalog.names t.catalog);
-  let strategy_word =
-    String.lowercase_ascii
-      (Dbproc_costmodel.Strategy.short_name (Manager.strategy_of_kind (Manager.kind t.manager)))
-  in
-  Buffer.add_string buf (Printf.sprintf "strategy %s\n" strategy_word);
-  List.iter
-    (fun (name, (def, projection)) ->
-      Buffer.add_string buf
-        (Printf.sprintf "define proc %s as %s\n" name (retrieve_syntax def projection)))
-    (List.rev t.defs);
+  add
+    (Ast.Strategy
+       (String.lowercase_ascii
+          (Dbproc_costmodel.Strategy.short_name
+             (Manager.strategy_of_kind (Manager.kind t.manager)))));
+  List.iter (fun (name, p) -> add (Ast.Define_proc { name; body = p.body })) (List.rev t.defs);
   Buffer.contents buf
 
 let help_text =
@@ -544,7 +473,7 @@ let exec_command_body t (cmd : Ast.command) =
                 | Some lit ->
                   if ty_of_literal lit <> a.Schema.ty then
                     error "%s.%s is %s" rel a.Schema.name (value_ty_name a.Schema.ty);
-                  value_of_literal lit
+                  Ast.value_of_literal lit
                 | None -> Tuple.get old_tuple i)
               (Schema.attrs schema)
           in
@@ -575,14 +504,14 @@ let exec_command_body t (cmd : Ast.command) =
     let def = { def with View_def.name } in
     (try register_procedure t name def
      with Planner.Unsupported_plan msg -> error "cannot plan this procedure: %s" msg);
-    t.defs <- (name, (def, projection)) :: t.defs;
+    t.defs <- (name, { body; def; projection }) :: t.defs;
     Printf.sprintf "defined procedure %s under %s" name (strategy_name t)
   | Ast.Exec name -> (
     match List.assoc_opt name t.proc_ids with
     | None -> error "unknown procedure %S" name
     | Some id ->
       let projection =
-        match List.assoc_opt name t.defs with Some (_, p) -> p | None -> None
+        match List.assoc_opt name t.defs with Some p -> p.projection | None -> None
       in
       let before = Cost.snapshot t.cost in
       let tuples = Manager.access t.manager id in
@@ -598,7 +527,7 @@ let exec_command_body t (cmd : Ast.command) =
     in
     t.manager <- fresh_manager t kind;
     t.proc_ids <- [];
-    List.iter (fun (name, (def, _)) -> register_procedure t name def) (List.rev t.defs);
+    List.iter (fun (name, p) -> register_procedure t name p.def) (List.rev t.defs);
     invalidate_stmts t;
     Printf.sprintf "strategy is now %s (%d procedures re-registered)" (strategy_name t)
       (List.length t.defs)
@@ -609,12 +538,12 @@ let exec_command_body t (cmd : Ast.command) =
     if t.defs = [] then "(no procedures)"
     else
       List.rev_map
-        (fun (name, (def, _)) ->
+        (fun (name, p) ->
           Format.asprintf "%s [%s, %d tuples]: %a" name (strategy_name t)
             (match List.assoc_opt name t.proc_ids with
             | Some id -> Manager.result_cardinality t.manager id
             | None -> 0)
-            View_def.pp def)
+            View_def.pp p.def)
         t.defs
       |> String.concat "\n"
   | Ast.Show `Cost ->
@@ -696,7 +625,7 @@ let lock_set t (cmd : Ast.command) =
       | _ -> bind_retrieve t r)
   | Ast.Exec name -> (
     match List.assoc_opt name t.defs with
-    | Some (def, _) -> source_locks def
+    | Some p -> source_locks p.def
     | None -> [])
   | Ast.Append { rel; _ } -> (
     match Catalog.find_opt t.catalog rel with
@@ -717,7 +646,8 @@ let lock_set t (cmd : Ast.command) =
         List.filter_map
           (fun (attr, lit) ->
             match Schema.index_of_opt (Relation.schema r) attr with
-            | Some pos -> Some (`X, Lock_manager.point ~rel ~attr:pos (value_of_literal lit))
+            | Some pos ->
+              Some (`X, Lock_manager.point ~rel ~attr:pos (Ast.value_of_literal lit))
             | None -> None)
           values
       in
@@ -895,56 +825,30 @@ let abort_client t ~client =
         true
       | _ -> false))
 
-let exec_command t (cmd : Ast.command) =
-  t.stmt_hint <- None;
-  match cmd with
-  | Ast.Begin | Ast.Commit | Ast.Abort -> (
-    match exec_txn t ~client:0 cmd with
-    | O_ok s -> s
-    | O_error msg | O_aborted msg -> error "%s" msg
-    | O_blocked _ -> error "blocked on a concurrent transaction")
-  | _ ->
-    (* Direct command execution (no lock acquisition — the single-session
-       compatibility path); mutations still log undo into client 0's open
-       explicit transaction so abort works from scripts and tests. *)
-    let logging =
-      match t.layer with
-      | Some l -> (
-        match Hashtbl.find_opt l.clients 0 with
-        | Some { txn = Some id; implicit = false; _ } -> Some id
-        | _ -> None)
-      | None -> None
-    in
-    t.logging_txn <- logging;
-    Fun.protect
-      ~finally:(fun () -> t.logging_txn <- None)
-      (fun () -> exec_command_body t cmd)
-
-let exec_line t line =
-  match exec_client t ~client:0 line with
+let result_of_outcome = function
   | O_ok s -> Ok s
-  | O_error msg -> Error msg
-  | O_aborted msg -> Error msg
+  | O_error msg | O_aborted msg -> Error msg
   | O_blocked _ -> Error "blocked on a concurrent transaction"
 
-let exec_script t script =
-  let lines = String.split_on_char '\n' script in
+let exec_line t line = result_of_outcome (exec_client t ~client:0 line)
+
+let run_script exec script =
   let buf = Buffer.create 256 in
   let rec go lineno = function
     | [] -> Ok (Buffer.contents buf)
-    | line :: rest ->
+    | line :: rest -> (
       let trimmed = String.trim line in
-      if trimmed = "" || (String.length trimmed >= 2 && String.sub trimmed 0 2 = "--") then
-        go (lineno + 1) rest
-      else begin
-        match exec_line t trimmed with
+      if trimmed = "" || String.starts_with ~prefix:"--" trimmed then go (lineno + 1) rest
+      else
+        match result_of_outcome (exec trimmed) with
         | Ok output ->
-          Buffer.add_string buf (Printf.sprintf "> %s\n%s\n" trimmed output);
+          Printf.bprintf buf "> %s\n%s\n" trimmed output;
           go (lineno + 1) rest
-        | Error msg -> Error (Printf.sprintf "line %d: %s" lineno msg)
-      end
+        | Error msg -> Error (Printf.sprintf "line %d: %s" lineno msg))
   in
-  go 1 lines
+  go 1 (String.split_on_char '\n' script)
+
+let exec_script t = run_script (exec_client t ~client:0)
 
 (* ------------------------------------------------------ cluster support *)
 
@@ -968,7 +872,7 @@ let fetch_body t cmd =
       | None -> error "unknown procedure %S" name
       | Some id ->
         let projection =
-          match List.assoc_opt name t.defs with Some (_, p) -> p | None -> None
+          match List.assoc_opt name t.defs with Some p -> p.projection | None -> None
         in
         let before = Cost.snapshot t.cost in
         let tuples = Manager.access t.manager id in

@@ -37,7 +37,6 @@ val create :
     [plan_cache.*]. *)
 
 val strategy_name : t -> string
-val procedure_names : t -> string list
 
 val obs : t -> Dbproc_obs.Ctx.t
 (** The observability context the session charges. *)
@@ -45,14 +44,6 @@ val obs : t -> Dbproc_obs.Ctx.t
 val simulated_ms : t -> float
 (** Total priced simulated milliseconds charged so far, under the
     default unit costs — the session's clock. *)
-
-val exec_command : t -> Ast.command -> string
-(** Execute one command, returning human-readable output.  Transaction
-    control ([Begin]/[Commit]/[Abort]) acts on client 0; once client 0
-    has an explicit transaction open, mutations log undo so [Abort] can
-    roll them back.  This compatibility entry point never takes locks —
-    use {!exec_client} for sessions shared by concurrent clients.
-    @raise Runtime_error on semantic errors. *)
 
 (** {2 Transactions}
 
@@ -96,22 +87,25 @@ val exec_line : t -> string -> (string, string) result
     back as [Error message]. *)
 
 val exec_script : t -> string -> (string, string) result
-(** Run a whole script (one command per line); output is concatenated.
-    Stops at the first error. *)
+(** Run a whole script (one command per line) as client 0 through
+    {!run_script}. *)
 
-val bind_retrieve : t -> Ast.retrieve -> Dbproc_query.View_def.t
-(** The binder, exposed for tests: resolve relation/attribute names,
-    split the qualification into per-relation restrictions and join
-    terms, and assemble a view definition whose join chain follows the
-    target order. *)
+val run_script : (string -> outcome) -> string -> (string, string) result
+(** The one script loop: run each line through the given executor,
+    skipping blank and [--] lines.  Output is [> line], newline, the
+    line's output and a newline, per executed line.  Stops at the first
+    failure with [line N: message], N counting every physical line. *)
 
 (** {2 Cluster support} *)
 
 val bind_retrieve_projected :
   t -> Ast.retrieve -> Dbproc_query.View_def.t * int list option
-(** {!bind_retrieve} plus the output projection (positions into the view
-    schema; [None] means all attributes) — what a cluster coordinator
-    needs to evaluate a cross-shard join over shipped partitions. *)
+(** The binder: resolve relation and attribute names, split the
+    qualification into per-relation restrictions and join terms, and
+    assemble a view definition whose join chain follows the target
+    order, plus the output projection (positions into the view schema;
+    [None] means all attributes) — what a cluster coordinator needs to
+    evaluate a cross-shard join over shipped partitions. *)
 
 val fetch :
   t -> string -> (Dbproc_relation.Tuple.t list * float, string) result
@@ -142,8 +136,3 @@ val client_of_txn : t -> int -> int option
 (** Which client owns the given transaction-manager id, if any — lets a
     cluster node translate {!O_blocked} holder ids into the global
     transaction ids the coordinator knows. *)
-
-val literal_syntax : Dbproc_relation.Value.t -> string
-(** Print a value as shell literal syntax that re-lexes to the same
-    value ([%d] / [%.17g] / [%S]) — used to reconstruct routable
-    statements and the cluster wire format. *)

@@ -51,7 +51,7 @@ let tokenize input =
             match input.[j] with
             | '"' -> j + 1
             | '\\' when j + 1 < n ->
-              Buffer.add_char buf input.[j + 1];
+              Buffer.add_char buf (if input.[j + 1] = 'n' then '\n' else input.[j + 1]);
               str (j + 2)
             | c ->
               Buffer.add_char buf c;

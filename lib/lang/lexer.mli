@@ -3,7 +3,9 @@
     Identifiers are ASCII letters/digits/underscore starting with a
     letter; keywords are recognized case-insensitively by the parser, so
     the lexer only distinguishes token shapes.  Comments run from [--] to
-    end of line. *)
+    end of line.  Inside a string literal a backslash takes the next byte
+    literally, except that [\n] reads as a newline ({!Ast.to_string} is
+    the inverse). *)
 
 type token =
   | IDENT of string

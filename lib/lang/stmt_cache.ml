@@ -19,23 +19,42 @@ type t = {
 let create ?(max_entries = 512) ~metrics () =
   { tbl = Hashtbl.create 64; order = Queue.create (); metrics; max_entries }
 
-(* Normalized key: whitespace runs collapsed to one space, ends trimmed.
-   Case is preserved — string literals are case-significant, and the
-   lexer already accepts keywords in one case only. *)
+(* Normalized key: the line as the lexer reads it.  Outside string
+   literals, whitespace runs and [--] comments collapse to one space and
+   the ends are trimmed; a string literal is copied byte for byte,
+   honouring the lexer's backslash escape, so whitespace inside it stays
+   significant.  Case is preserved — string literals are case-significant,
+   and the lexer already accepts keywords in one case only. *)
 let normalize line =
-  let buf = Buffer.create (String.length line) in
+  let n = String.length line in
+  let buf = Buffer.create n in
   let pending = ref false in
-  String.iter
-    (fun c ->
-      match c with
-      | ' ' | '\t' | '\r' | '\n' -> if Buffer.length buf > 0 then pending := true
+  let rec code i =
+    if i < n then
+      match line.[i] with
+      | ' ' | '\t' | '\r' | '\n' -> gap (i + 1)
+      | '-' when i + 1 < n && line.[i + 1] = '-' ->
+        gap (Option.value (String.index_from_opt line i '\n') ~default:n)
       | c ->
-        if !pending then begin
-          Buffer.add_char buf ' ';
-          pending := false
-        end;
-        Buffer.add_char buf c)
-    line;
+        if !pending then Buffer.add_char buf ' ';
+        pending := false;
+        Buffer.add_char buf c;
+        if c = '"' then literal (i + 1) else code (i + 1)
+  and gap i =
+    if Buffer.length buf > 0 then pending := true;
+    code i
+  and literal i =
+    if i < n then begin
+      Buffer.add_char buf line.[i];
+      match line.[i] with
+      | '"' -> code (i + 1)
+      | '\\' when i + 1 < n ->
+        Buffer.add_char buf line.[i + 1];
+        literal (i + 2)
+      | _ -> literal (i + 1)
+    end
+  in
+  code 0;
   Buffer.contents buf
 
 let find t key = Hashtbl.find_opt t.tbl key

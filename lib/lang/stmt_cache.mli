@@ -36,7 +36,10 @@ val create : ?max_entries:int -> metrics:Dbproc_obs.Metrics.t -> unit -> t
     statement recompiles and is re-stored as the newest entry. *)
 
 val normalize : string -> string
-(** Collapse whitespace runs, trim ends; case-preserving. *)
+(** The line as the lexer reads it: outside string literals, whitespace
+    runs and [--] comments collapse to one space and the ends are
+    trimmed; string literals, escapes included, are kept byte for byte.
+    Case-preserving. *)
 
 val find : t -> string -> entry option
 (** Lookup by normalized key (the caller normalizes once). *)

@@ -231,26 +231,14 @@ let coordinator_backend ?key_domain ?injector ?(on_kill = fun _ -> ())
     | `Park _ -> `Park
   in
   let exec_script script =
-    let lines = String.split_on_char '\n' script in
-    let buf = Buffer.create 256 in
-    let rec go lineno = function
-      | [] -> Protocol.Output (Buffer.contents buf)
-      | line :: rest ->
-        let trimmed = String.trim line in
-        if
-          trimmed = ""
-          || (String.length trimmed >= 2 && String.sub trimmed 0 2 = "--")
-        then go (lineno + 1) rest
-        else
-          let r = Coordinator.exec coord trimmed in
-          if r.Coordinator.ok then begin
-            Buffer.add_string buf
-              (Printf.sprintf "> %s\n%s\n" trimmed r.Coordinator.output);
-            go (lineno + 1) rest
-          end
-          else Protocol.Failed (Printf.sprintf "line %d: %s" lineno r.Coordinator.output)
+    let exec line =
+      let r = Coordinator.exec coord line in
+      if r.Coordinator.ok then Dbproc_lang.Interp.O_ok r.Coordinator.output
+      else Dbproc_lang.Interp.O_error r.Coordinator.output
     in
-    go 1 lines
+    match Dbproc_lang.Interp.run_script exec script with
+    | Ok out -> Protocol.Output out
+    | Error msg -> Protocol.Failed msg
   in
   let b_request ~client (req : Protocol.request) =
     match req with

@@ -12,18 +12,6 @@
 type proc
 (** One forked node-server process. *)
 
-val spawn_node : ?shards:int -> port:int -> unit -> proc
-(** Fork a node server bound to [127.0.0.1:port] (the child never
-    returns).  [shards] defaults to 1. *)
-
-val wait_ready : ?timeout:float -> proc -> bool
-(** Poll until the node answers a ping; [false] after [timeout] (default
-    10 s). *)
-
-val proc_link : proc -> Coordinator.link
-(** A socket-backed link: connects lazily, reports transport failures as
-    [Error] (the coordinator's failover decides what they mean). *)
-
 val kill : proc -> unit
 (** SIGKILL and reap — the process version of a node crash. *)
 

@@ -354,11 +354,6 @@ let mutate t cx i line =
 
 (* ------------------------------------------------------------- routing *)
 
-let value_of_literal = function
-  | Ast.L_int i -> Value.Int i
-  | Ast.L_float f -> Value.Float f
-  | Ast.L_string s -> Value.Str s
-
 (* Key-range partitioning over [0, key_domain): node i owns the i-th
    equal slice.  Out-of-range keys clamp to the edge nodes; non-integer
    partition attributes hash to a pseudo-key, which keeps routing
@@ -401,7 +396,7 @@ let point_node t rel (quals : Ast.qual list) =
         match q with
         | { left = lrel, lattr; op = Ast.C_eq; right = Ast.Lit lit }
           when lrel = rel && lattr = pattr ->
-          Some (owner t (value_of_literal lit))
+          Some (owner t (Ast.value_of_literal lit))
         | _ -> None)
       quals
 
@@ -423,30 +418,15 @@ let ok_out output = { output; ok = true; digest = None; aborted = false }
 
 let aborted_result output = { output; ok = false; digest = None; aborted = true }
 
-let op_syntax = function
-  | Predicate.Eq -> "="
-  | Predicate.Ne -> "!="
-  | Predicate.Lt -> "<"
-  | Predicate.Le -> "<="
-  | Predicate.Gt -> ">"
-  | Predicate.Ge -> ">="
+(* A qual a node can evaluate on [rel]'s partition alone. *)
+let local_qual rel (q : Ast.qual) =
+  fst q.Ast.left = rel && match q.Ast.right with Ast.Lit _ -> true | Ast.Attr _ -> false
 
-(* Reconstruct a node-local sub-retrieve for one bound source: the full
-   partition of its relation, filtered by its own restriction terms. *)
-let sub_retrieve (src : View_def.source) =
-  let rel = Relation.name src.rel in
-  let schema = Relation.schema src.rel in
-  let quals =
-    List.map
-      (fun (term : Predicate.term) ->
-        Printf.sprintf "%s.%s %s %s" rel
-          (Schema.attr schema term.Predicate.attr).Schema.name
-          (op_syntax term.Predicate.op)
-          (Interp.literal_syntax term.Predicate.value))
-      src.restriction
-  in
-  Printf.sprintf "retrieve (%s.all)%s" rel
-    (match quals with [] -> "" | qs -> " where " ^ String.concat " and " qs)
+(* A node-local sub-retrieve: the whole partition of [rel], filtered by
+   the statement's own literal quals on it. *)
+let sub_retrieve rel quals =
+  Ast.to_string
+    (Ast.Retrieve { targets = [ (rel, "all") ]; quals = List.filter (local_qual rel) quals })
 
 (* Gather one request's tuples from a set of nodes, [send i] asking node
    [i]; [what] names the request in errors.  The cluster's simulated
@@ -564,8 +544,9 @@ let tuple_result t ?suffix tuples ms =
    side — fetch it whole, send its join-key set to the bigger side's
    nodes, and get back only matching tuples (a semijoin).  Anything else
    (longer chains, non-equality joins) broadcasts every source. *)
-let join_retrieve t (def : View_def.t) projection ~suffix =
+let join_retrieve t (r : Ast.retrieve) (def : View_def.t) projection ~suffix =
   let sources = View_def.sources def in
+  let sub (src : View_def.source) = sub_retrieve (Relation.name src.rel) r.Ast.quals in
   let count_of (src : View_def.source) =
     match Hashtbl.find_opt t.rels (Relation.name src.rel) with
     | Some info -> info.count
@@ -581,7 +562,7 @@ let join_retrieve t (def : View_def.t) projection ~suffix =
     let rec go acc ms = function
       | [] -> Ok (List.rev acc, ms)
       | src :: rest -> (
-        match fetch_from t None (all_nodes t) (sub_retrieve src) with
+        match fetch_from t None (all_nodes t) (sub src) with
         | Error e -> Error e
         | Ok (tuples, node_ms) -> go (tuples :: acc) (Float.max ms node_ms) rest)
     in
@@ -597,7 +578,7 @@ let join_retrieve t (def : View_def.t) projection ~suffix =
           (base, step.View_def.left_attr, side, step.View_def.right_attr)
         else (side, step.View_def.right_attr, base, step.View_def.left_attr)
       in
-      (match fetch_from t None (all_nodes t) (sub_retrieve small) with
+      (match fetch_from t None (all_nodes t) (sub small) with
       | Error e -> Error e
       | Ok (small_tuples, ms1) -> (
         let keys = Hashtbl.create 64 in
@@ -606,7 +587,7 @@ let join_retrieve t (def : View_def.t) projection ~suffix =
           small_tuples;
         let key_list = Hashtbl.fold (fun k () acc -> k :: acc) keys [] in
         match
-          probe_from t (all_nodes t) ~attr:big_attr ~stmt:(sub_retrieve big) key_list
+          probe_from t (all_nodes t) ~attr:big_attr ~stmt:(sub big) key_list
         with
         | Error e -> Error e
         | Ok (big_tuples, ms2) ->
@@ -641,7 +622,7 @@ let retrieve_tuples t cx line (r : Ast.retrieve) ~suffix =
       | Ok (tuples, ms) -> tuple_result t ?suffix tuples ms)
     | _ when Option.is_some cx ->
       fail "cross-shard joins are not supported inside a distributed transaction"
-    | _ -> join_retrieve t def projection ~suffix)
+    | _ -> join_retrieve t r def projection ~suffix)
 
 (* ------------------------------------------------- per-command routing *)
 
@@ -680,47 +661,16 @@ let exec_on_nodes t cx nodes line ~parse ~describe =
   in
   go 0 nodes
 
-let quals_local rel (quals : Ast.qual list) =
-  List.for_all
-    (fun (q : Ast.qual) ->
-      fst q.Ast.left = rel
-      && match q.Ast.right with Ast.Lit _ -> true | Ast.Attr _ -> false)
-    quals
-
-let append_syntax rel fields =
-  Printf.sprintf "append to %s (%s)" rel
-    (String.concat ", "
-       (List.map
-          (fun (name, v) -> Printf.sprintf "%s = %s" name (Interp.literal_syntax v))
-          fields))
-
-let quals_syntax quals =
-  match quals with
-  | [] -> ""
-  | qs ->
-    " where "
-    ^ String.concat " and "
-        (List.map
-           (fun (q : Ast.qual) ->
-             Printf.sprintf "%s.%s %s %s" (fst q.Ast.left) (snd q.Ast.left)
-               (Ast.comparison_symbol q.Ast.op)
-               (match q.Ast.right with
-               | Ast.Lit lit -> Interp.literal_syntax (value_of_literal lit)
-               | Ast.Attr (r, a) -> r ^ "." ^ a))
-           qs)
-
 (* Replace that assigns the partition attribute re-homes tuples: fetch
    the victims, delete them where they live, re-append the rewritten
    tuples to their new owners. *)
 let rehome_replace t rel (values : (string * Ast.literal) list) quals info =
   let nodes = target_nodes t rel quals in
-  let fetch_stmt = Printf.sprintf "retrieve (%s.all)%s" rel (quals_syntax quals) in
-  match fetch_from t None nodes fetch_stmt with
+  match fetch_from t None nodes (sub_retrieve rel quals) with
   | Error e -> fail "%s" e
   | Ok (victims, _ms) -> (
-    let delete_stmt = Printf.sprintf "delete from %s%s" rel (quals_syntax quals) in
     match
-      exec_on_nodes t None nodes delete_stmt
+      exec_on_nodes t None nodes (Ast.to_string (Ast.Delete { rel; quals }))
         ~parse:(scan_count "deleted %d tuples from %s")
         ~describe:"delete"
     with
@@ -731,17 +681,17 @@ let rehome_replace t rel (values : (string * Ast.literal) list) quals info =
         List.mapi
           (fun i (name, _ty) ->
             match List.assoc_opt name values with
-            | Some lit -> (name, value_of_literal lit)
-            | None -> (name, Tuple.get tuple i))
+            | Some lit -> (name, lit)
+            | None -> (name, Ast.literal_of_value (Tuple.get tuple i)))
           info.attrs
       in
       let rec put = function
         | [] ->
           ok_out (Printf.sprintf "replaced %d tuples in %s" deleted rel)
         | tuple :: rest -> (
-          let fields = rewrite tuple in
-          let dest = owner t (snd (List.hd fields)) in
-          match mutate t None dest (append_syntax rel fields) with
+          let values = rewrite tuple in
+          let dest = owner t (Ast.value_of_literal (snd (List.hd values))) in
+          match mutate t None dest (Ast.to_string (Ast.Append { rel; values })) with
           | Ok _ ->
             info.count <- info.count + 1;
             put rest
@@ -797,7 +747,7 @@ let route t cx line (cmd : Ast.command) =
           match partition_attr t rel with
           | Some pattr -> (
             match List.assoc_opt pattr values with
-            | Some lit -> owner t (value_of_literal lit)
+            | Some lit -> owner t (Ast.value_of_literal lit)
             | None -> 0 (* node 0 reports the missing-attribute error *))
           | None -> 0
         in
@@ -809,7 +759,7 @@ let route t cx line (cmd : Ast.command) =
           ok_out (Printf.sprintf "appended 1 tuple to %s (%d total)" rel info.count))
   | Ast.Delete { rel; quals } ->
     with_rel rel (fun info ->
-        if not (quals_local rel quals) then
+        if not (List.for_all (local_qual rel) quals) then
           fail "delete restriction must reference only %s" rel
         else
           match write "delete" rel quals "deleted %d tuples from %s" with
@@ -824,7 +774,7 @@ let route t cx line (cmd : Ast.command) =
           | Some pattr -> List.mem_assoc pattr values
           | None -> false
         in
-        if not (quals_local rel quals) then
+        if not (List.for_all (local_qual rel) quals) then
           fail "replace restriction must reference only %s" rel
         else if rehomes && in_txn then
           fail

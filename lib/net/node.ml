@@ -56,7 +56,6 @@ let session t = t.session
 let ctx t = t.ctx
 let rlog_next_lsn t = Wal.next_lsn t.rlog
 let recv_next_lsn t = Wal.next_lsn t.recv
-let dlog_next_lsn t = Wal.next_lsn t.dlog
 let promoted t = t.promoted
 
 (* Statements worth shipping: the ones that change what a promoted
@@ -83,31 +82,10 @@ let exec_line t ~client line =
   | _ -> ());
   outcome
 
-let exec_script t script =
-  (* Same loop and output format as [Interp.exec_script], but line by
-     line through [exec_line] so exactly the statements that executed are
-     replicated — a script that fails midway has its completed prefix in
-     the log, matching the node's state. *)
-  let lines = String.split_on_char '\n' script in
-  let buf = Buffer.create 256 in
-  let rec go lineno = function
-    | [] -> Ok (Buffer.contents buf)
-    | line :: rest ->
-      let trimmed = String.trim line in
-      if trimmed = "" || (String.length trimmed >= 2 && String.sub trimmed 0 2 = "--")
-      then go (lineno + 1) rest
-      else begin
-        match exec_line t ~client:0 trimmed with
-        | Interp.O_ok output ->
-          Buffer.add_string buf (Printf.sprintf "> %s\n%s\n" trimmed output);
-          go (lineno + 1) rest
-        | Interp.O_error msg | Interp.O_aborted msg ->
-          Error (Printf.sprintf "line %d: %s" lineno msg)
-        | Interp.O_blocked _ ->
-          Error (Printf.sprintf "line %d: blocked on a concurrent transaction" lineno)
-      end
-  in
-  go 1 lines
+(* Line by line through [exec_line], so exactly the statements that
+   executed are replicated: a script that fails midway has its completed
+   prefix in the log, matching the node's state. *)
+let exec_script t = Interp.run_script (exec_line t ~client:0)
 
 (* Translate transaction-manager ids ([Interp.O_blocked] holders) into
    the coordinator's global transaction ids; a holder with no branch here

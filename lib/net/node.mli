@@ -47,8 +47,8 @@ val exec_line : t -> client:int -> string -> Dbproc_lang.Interp.outcome
     logging on success. *)
 
 val exec_script : t -> string -> (string, string) result
-(** Same loop and output format as {!Dbproc_lang.Interp.exec_script},
-    but via {!exec_line} so exactly the executed prefix is replicated. *)
+(** {!Dbproc_lang.Interp.run_script} over {!exec_line}, so exactly the
+    executed prefix is replicated. *)
 
 val handle : t -> Protocol.request -> Protocol.response option
 (** Serve a coordinator-facing request ([Fetch] / [Join_probe] /
@@ -72,9 +72,6 @@ val rlog_next_lsn : t -> int
 
 val recv_next_lsn : t -> int
 (** Next received-log LSN — how far this replica has been shipped. *)
-
-val dlog_next_lsn : t -> int
-(** Next 2PC decision-log LSN (= prepare/commit records logged). *)
 
 val promoted : t -> bool
 

@@ -92,10 +92,6 @@ val max_frame_default : int
 (** Default frame-size cap, 1 MiB — bounds decoder memory per
     connection. *)
 
-val frame_overhead : int
-(** Bytes of framing around a body: 4 (length) + 4 (id) + 1 (tag) = 9. *)
-
-val request_tag : request -> int
 val response_tag : response -> int
 
 (** {2 Encoding}

@@ -4,10 +4,18 @@ exception Malformed of string
 
 let fail fmt = Format.kasprintf (fun s -> raise (Malformed s)) fmt
 
+(* Strings and statements travel as String.escaped text, which escapes
+   the tab and newline this format uses as separators.  Text without a
+   backslash had nothing escaped, so it skips the costly Scanf pass. *)
+let unescape what s =
+  if not (String.contains s '\\') then s
+  else
+    match Scanf.unescaped s with
+    | v -> v
+    | exception (Scanf.Scan_failure _ | Failure _) -> fail "bad %s %S" what s
+
 (* Values are tagged by one leading character.  Floats go out as OCaml's
-   %h hex-float literals so every bit pattern round-trips; strings as
-   String.escaped, which escapes the tab and newline this format uses as
-   separators. *)
+   %h hex-float literals so every bit pattern round-trips. *)
 let encode_value = function
   | Value.Int i -> "i" ^ string_of_int i
   | Value.Float f -> Printf.sprintf "f%h" f
@@ -25,11 +33,7 @@ let decode_value s =
     match float_of_string_opt rest with
     | Some f -> Value.Float f
     | None -> fail "bad float field %S" s)
-  | 's' -> (
-    match Scanf.unescaped rest with
-    | v -> Value.Str v
-    | exception Scanf.Scan_failure _ -> fail "bad string field %S" s
-    | exception Failure _ -> fail "bad string field %S" s)
+  | 's' -> Value.Str (unescape "string field" rest)
   | _ -> fail "unknown value tag in %S" s
 
 let encode_tuple t =
@@ -79,16 +83,9 @@ let parse_tuples_body body =
 
 (* -------------------------------------------- Wal_records response body *)
 
-let check_stmt what stmt =
-  if String.contains stmt '\n' then fail "%s: statement contains a newline" what
-
 let records_body records =
   String.concat "\n"
-    (List.map
-       (fun (lsn, stmt) ->
-         check_stmt "records_body" stmt;
-         Printf.sprintf "%d\t%s" lsn stmt)
-       records)
+    (List.map (fun (lsn, stmt) -> Printf.sprintf "%d\t%s" lsn (String.escaped stmt)) records)
 
 let parse_records_body body =
   if body = "" then []
@@ -99,16 +96,17 @@ let parse_records_body body =
         | None -> fail "bad record line %S" line
         | Some i -> (
           match int_of_string_opt (String.sub line 0 i) with
-          | Some lsn -> (lsn, String.sub line (i + 1) (String.length line - i - 1))
+          | Some lsn ->
+            let stmt = String.sub line (i + 1) (String.length line - i - 1) in
+            (lsn, unescape "record statement" stmt)
           | None -> fail "bad record lsn in %S" line))
       (String.split_on_char '\n' body)
 
 (* --------------------------------------------- Join_probe request body *)
 
 let join_probe_body ~attr ~stmt keys =
-  check_stmt "join_probe_body" stmt;
   let buf = Buffer.create 256 in
-  Buffer.add_string buf (Printf.sprintf "attr %d\nstmt %s" attr stmt);
+  Buffer.add_string buf (Printf.sprintf "attr %d\nstmt %s" attr (String.escaped stmt));
   List.iter
     (fun v ->
       Buffer.add_char buf '\n';
@@ -131,7 +129,7 @@ let parse_join_probe_body body =
     in
     let stmt =
       if String.length stmt_line >= 5 && String.sub stmt_line 0 5 = "stmt " then
-        String.sub stmt_line 5 (String.length stmt_line - 5)
+        unescape "probe statement" (String.sub stmt_line 5 (String.length stmt_line - 5))
       else fail "bad stmt line %S" stmt_line
     in
     (attr, stmt, List.map decode_value keys)

@@ -17,11 +17,7 @@ exception Malformed of string
 (** Raised by every [parse_*]/[decode_*] on input this module did not
     produce. *)
 
-val encode_value : Value.t -> string
-val decode_value : string -> Value.t
-
 val encode_tuple : Tuple.t -> string
-val decode_tuple : string -> Tuple.t
 
 val digest_tuples : Tuple.t list -> string
 (** MD5 hex of the sorted serialized multiset (multiplicity preserved). *)
@@ -37,15 +33,15 @@ val parse_tuples_body : string -> float * Tuple.t list
 
 val records_body : (int * string) list -> string
 (** {!Protocol.Wal_records} body: one ["<lsn>\t<statement>"] line per
-    replication record.  Statements are single-line by construction.
-    @raise Malformed if a statement contains a newline. *)
+    replication record, the statement escaped like a string value, so a
+    client's raw newline inside a string literal ships intact. *)
 
 val parse_records_body : string -> (int * string) list
 
 val join_probe_body : attr:int -> stmt:string -> Value.t list -> string
-(** {!Protocol.Join_probe} body: ["attr <pos>"], ["stmt <retrieve>"],
-    then one encoded join-key value per line.  The node executes the
-    retrieve locally and returns only tuples whose [attr] field is in
-    the key set. *)
+(** {!Protocol.Join_probe} body: ["attr <pos>"], ["stmt <retrieve>"]
+    (escaped like a record statement), then one encoded join-key value
+    per line.  The node executes the retrieve locally and returns only
+    tuples whose [attr] field is in the key set. *)
 
 val parse_join_probe_body : string -> int * string * Value.t list

@@ -226,6 +226,62 @@ let test_replace_rehomes_partition_key () =
   check_stmt c single "retrieve (R.all)";
   check_stmt c single (Printf.sprintf "retrieve (R.v) where R.k = %d" (key 30))
 
+(* The statements the coordinator writes for its nodes — join
+   sub-retrieves and the re-home fetch, delete and append — must carry a
+   statement's literals unchanged: an integral float stays a float and a
+   UTF-8 string keeps its bytes. *)
+let literal_setup =
+  [ "create R (k = int, x = float, s = string)"; "create S (k = int, w = int)" ]
+  @ List.init 6 (fun i ->
+        Printf.sprintf "append to R (k = %d, x = %d.0, s = \"%s\")" (key i)
+          ((i mod 3) + 2)
+          (if i = 1 then "caf\xc3\xa9" else "plain"))
+  @ List.init 3 (fun i -> Printf.sprintf "append to S (k = %d, w = %d)" (key i) i)
+  @ [
+      {|append to R (k = 100, x = 3.0, s = "plain")|};
+      "append to R (k = 200, x = 2.5, s = \"caf\xc3\xa9\")";
+    ]
+
+let test_join_literals () =
+  let local = Coordinator.create_local ~nodes:3 () in
+  let c = Coordinator.coordinator local in
+  let single = Lang.Interp.create () in
+  List.iter (check_stmt c single) literal_setup;
+  check_stmt c single "retrieve (R.all, S.all) where R.x = 3.0 and R.k = S.k";
+  check_stmt c single "retrieve (R.all, S.all) where R.s = \"caf\xc3\xa9\" and R.k = S.k";
+  Alcotest.(check int) "both joins took the shipped path" 2
+    (mget c Metrics.Cluster_joins_shipped)
+
+let test_rehome_literals () =
+  let local = Coordinator.create_local ~nodes:3 () in
+  let c = Coordinator.coordinator local in
+  let single = Lang.Interp.create () in
+  List.iter (check_stmt c single)
+    (literal_setup
+    @ [
+        "replace R (k = 700000) where R.k = 100";
+        "replace R (k = 800000) where R.k = 200";
+        "retrieve (R.all)";
+        (* the append's running total checks the cluster's row count *)
+        {|append to R (k = 300, x = 1.0, s = "plain")|};
+      ])
+
+(* A raw newline inside a client's string literal must replicate: the
+   statement ships escaped in its WAL record and replays on promotion. *)
+let test_raw_newline_replicates () =
+  let local = Coordinator.create_local ~nodes:3 () in
+  let c = Coordinator.coordinator local in
+  let single = Lang.Interp.create () in
+  List.iter (check_stmt c single)
+    [
+      "create T (k = int, s = string)";
+      "append to T (k = 1, s = \"a\nb\")";
+      {|append to T (k = 2, s = "c")|};
+      "retrieve (T.all)";
+    ];
+  Coordinator.kill_node c 0;
+  check_stmt c single "retrieve (T.all)"
+
 let test_stats_merge () =
   let local = Coordinator.create_local ~nodes:3 () in
   let c = Coordinator.coordinator local in
@@ -751,6 +807,8 @@ let () =
         [
           Alcotest.test_case "cluster = single node (incl. cross-shard join)" `Quick
             test_differential;
+          Alcotest.test_case "join sub-retrieves keep literals" `Quick test_join_literals;
+          Alcotest.test_case "re-home keeps literals" `Quick test_rehome_literals;
           Alcotest.test_case "replace re-homes the partition key" `Quick
             test_replace_rehomes_partition_key;
         ] );
@@ -759,6 +817,8 @@ let () =
           Alcotest.test_case "synchronous WAL shipping" `Quick test_wal_shipping;
           Alcotest.test_case "wal push idempotent, gaps refused" `Quick
             test_wal_push_idempotent_and_gapless;
+          Alcotest.test_case "raw newline in a literal replicates" `Quick
+            test_raw_newline_replicates;
         ] );
       ( "failover",
         [

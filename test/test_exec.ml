@@ -354,6 +354,43 @@ let test_stmt_cache_hits () =
   Alcotest.(check int) "one miss" 1 (get_metric interp Metrics.Plan_cache_misses);
   Alcotest.(check int) "two hits" 2 (get_metric interp Metrics.Plan_cache_hits)
 
+(* Cache keys follow the lexer: whitespace inside a string literal is
+   significant and an escaped quote does not end it, a comment ends at
+   its newline, and whitespace between tokens still normalizes to a hit. *)
+let test_stmt_cache_keys_follow_lexer () =
+  let interp = setup_session () in
+  List.iter
+    (fun line -> ignore (Result.get_ok (Interp.exec_line interp line)))
+    [ "append to emp (name = \"a  b\", dept = 3)"; "append to emp (name = \"a b\", dept = 4)" ];
+  let dept name =
+    Result.get_ok
+      (Interp.exec_line interp (Printf.sprintf "retrieve (emp.dept) where emp.name = %S" name))
+  in
+  Alcotest.(check bool) "two spaces: dept 3" true (contains (dept "a  b") "<3>");
+  Alcotest.(check bool) "one space: dept 4" true (contains (dept "a b") "<4>");
+  let hits = get_metric interp Metrics.Plan_cache_hits in
+  ignore
+    (Result.get_ok
+       (Interp.exec_line interp "retrieve  (emp.dept)   where emp.name = \"a b\""));
+  Alcotest.(check int) "spacing between tokens still hits" (hits + 1)
+    (get_metric interp Metrics.Plan_cache_hits);
+  Alcotest.(check string) "escaped quote stays inside the literal" {|x = "q\"  r" and y|}
+    (Stmt_cache.normalize {|x  =  "q\"  r"   and y|});
+  Alcotest.(check string) "a comment ends at its newline" "a b"
+    (Stmt_cache.normalize "a -- c\nb");
+  Alcotest.(check string) "a comment runs to the end of the line" "a"
+    (Stmt_cache.normalize "a -- c b")
+
+(* Equal keys must mean equal statements: a normalized line lexes to the
+   same tokens as the line itself, or fails to lex just the same. *)
+let test_stmt_cache_key_lexes_alike =
+  let chars = QCheck.Gen.oneofl [ ' '; '\n'; '\t'; '-'; '"'; '\\'; 'a'; '1'; '.'; '=' ] in
+  QCheck.Test.make ~name:"normalized keys lex like their lines" ~count:500
+    (QCheck.make ~print:String.escaped QCheck.Gen.(string_size ~gen:chars (int_bound 16)))
+    (fun line ->
+      let lex l = match Lexer.tokenize l with toks -> Some toks | exception _ -> None in
+      lex (Stmt_cache.normalize line) = lex line)
+
 let test_stmt_cache_invalidation () =
   let interp = setup_session () in
   let q = "retrieve (emp.all) where emp.dept = 2" in
@@ -541,6 +578,9 @@ let () =
       ( "stmt-cache",
         [
           Alcotest.test_case "hits and normalization" `Quick test_stmt_cache_hits;
+          Alcotest.test_case "keys follow the lexer's rules" `Quick
+            test_stmt_cache_keys_follow_lexer;
+          qc test_stmt_cache_key_lexes_alike;
           Alcotest.test_case "DDL invalidation" `Quick test_stmt_cache_invalidation;
           Alcotest.test_case "cost neutrality" `Quick test_stmt_cache_cost_neutral;
           Alcotest.test_case "strategy invalidation" `Quick

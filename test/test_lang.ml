@@ -35,8 +35,8 @@ let test_lexer_literals () =
   (match Lexer.tokenize "-5 3.25 \"hi there\"" with
   | [ Lexer.INT (-5); FLOAT 3.25; STRING "hi there" ] -> ()
   | _ -> Alcotest.fail "literal tokens wrong");
-  match Lexer.tokenize {|"quote \" inside"|} with
-  | [ Lexer.STRING {|quote " inside|} ] -> ()
+  match Lexer.tokenize {|"quote \" inside\n\\"|} with
+  | [ Lexer.STRING "quote \" inside\n\\" ] -> ()
   | _ -> Alcotest.fail "escape handling wrong"
 
 let test_lexer_comments () =
@@ -336,6 +336,32 @@ let test_interp_session_roundtrip () =
     (contains original "Carol" = contains replayed "Carol"
     && contains original "(1 tuples)" && contains replayed "(1 tuples)")
 
+(* A dump must carry every literal back unchanged: an integral float stays
+   a float, and quotes, backslashes and UTF-8 bytes survive in strings. *)
+let test_interp_dump_replays_literals () =
+  let s = Interp.create () in
+  List.iter
+    (fun line -> ignore (ok (Interp.exec_line s line)))
+    [
+      "create R (k = int, x = float, s = string)";
+      "append to R (k = 1, x = 3.0, s = \"caf\xc3\xa9\")";
+      {|append to R (k = 2, x = 4.0, s = "q\"b\\s")|};
+      "define proc P as retrieve (R.all) where R.x >= 3.0";
+    ];
+  let replay = Interp.create () in
+  (match Interp.exec_script replay (ok (Interp.exec_line s "show script")) with
+  | Ok _ -> ()
+  | Error msg -> Alcotest.failf "replay failed: %s" msg);
+  let rows session line =
+    match Interp.fetch session line with
+    | Ok (tuples, _) ->
+      List.sort compare (List.map (Format.asprintf "%a" Dbproc.Tuple.pp) tuples)
+    | Error msg -> Alcotest.failf "%s: %s" line msg
+  in
+  List.iter
+    (fun line -> Alcotest.(check (list string)) line (rows s line) (rows replay line))
+    [ "retrieve (R.all)"; "exec P" ]
+
 let test_interp_save_file () =
   let s = setup_emp_dept () in
   let file = Filename.temp_file "dbproc" ".dbp" in
@@ -436,19 +462,30 @@ let test_txn_two_clients_block_and_deadlock () =
 
 (* ------------------------------------------- printer/parser roundtrip *)
 
-(* Generators stay within the language's lexical island: identifier names
-   avoid keywords, strings avoid backslashes/quotes/control characters,
-   and floats are non-integral so %g round-trips through the lexer. *)
+(* Names stay identifiers that are not keywords.  Literals cover every
+   int, every float the lexer can read (integral ones, -0.0, 1e16 and the
+   infinities, which 1e999 lexes to; not nan) and any byte string. *)
 let command_gen =
   let open QCheck.Gen in
   let name = oneofl [ "r1"; "r2"; "emp"; "dept"; "t_3"; "aa" ] in
   let attr = oneofl [ "k"; "v"; "sel"; "dname"; "floor_no" ] in
+  let text =
+    oneof
+      [
+        string_size (int_bound 12);
+        oneofl [ ""; "\""; "\\"; "\n"; "caf\xc3\xa9"; "q\"b\\s\n"; "a  b" ];
+      ]
+  in
   let literal =
     oneof
       [
-        map (fun i -> Ast.L_int (i - 50)) (int_bound 100);
-        map (fun i -> Ast.L_float (float_of_int i +. 0.5)) (int_bound 20);
-        map (fun s -> Ast.L_string s) (oneofl [ "x"; "hello world"; "Shipping"; "" ]);
+        map (fun i -> Ast.L_int i) int;
+        map (fun f -> Ast.L_float (if Float.is_nan f then 0.0 else f)) float;
+        map (fun i -> Ast.L_float (float_of_int i)) (int_range (-50) 50);
+        map
+          (fun f -> Ast.L_float f)
+          (oneofl [ -0.0; 1e16; 0.1; 1e-5; Float.infinity; Float.neg_infinity ]);
+        map (fun s -> Ast.L_string s) text;
       ]
   in
   let comparison =
@@ -508,15 +545,14 @@ let command_gen =
           Ast.Show `Relations; Ast.Show `Procs; Ast.Show `Cost; Ast.Show `Network;
           Ast.Show `Script; Ast.Reset_cost; Ast.Help;
         ];
-      map (fun f -> Ast.Save ("out_" ^ f ^ ".dbp")) name;
+      map (fun f -> Ast.Save f) text;
+      oneofl [ Ast.Begin; Ast.Commit; Ast.Abort ];
     ]
 
 let parser_roundtrip_property =
   QCheck.Test.make ~name:"printed commands parse back to themselves" ~count:300
-    (QCheck.make ~print:(Format.asprintf "%a" Ast.pp_command) command_gen)
-    (fun cmd ->
-      let printed = Format.asprintf "%a" Ast.pp_command cmd in
-      Parser.parse_command printed = cmd)
+    (QCheck.make ~print:Ast.to_string command_gen)
+    (fun cmd -> Parser.parse_command (Ast.to_string cmd) = cmd)
 
 let () =
   Alcotest.run "lang"
@@ -560,6 +596,8 @@ let () =
           Alcotest.test_case "explain" `Quick test_interp_explain;
           Alcotest.test_case "session roundtrip" `Quick test_interp_session_roundtrip;
           Alcotest.test_case "save to file" `Quick test_interp_save_file;
+          Alcotest.test_case "session dump replays every literal" `Quick
+            test_interp_dump_replays_literals;
           Alcotest.test_case "script error line numbers" `Quick test_interp_script_error_line;
         ] );
       ( "txn",
