@@ -84,13 +84,25 @@ let figures_cmd =
 
 (* ------------------------------------------------------------------ sim *)
 
+(* Numeric flags whose range the engine relies on: an out-of-range value
+   is a usage error (exit 124), not an exception from deep inside a run. *)
+let checked_conv ~expect parse ok print =
+  Arg.conv
+    ( (fun s ->
+        match parse s with
+        | Some x when ok x -> Ok x
+        | _ -> Error (`Msg (Printf.sprintf "%S: expected %s" s expect))),
+      print )
+
+let scale_term =
+  Arg.(
+    value
+    & opt (checked_conv ~expect:"a number > 0" float_of_string_opt (fun x -> x > 0.0)
+             Format.pp_print_float) 10.0
+    & info [ "scale" ] ~docv:"X" ~doc:"Scale-down factor applied to N, N1, N2, q, k.")
+
 let sim_cmd =
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc:"Workload seed.") in
-  let scale =
-    Arg.(
-      value & opt float 10.0
-      & info [ "scale" ] ~docv:"X" ~doc:"Scale-down factor applied to N, N1, N2, q, k.")
-  in
   let jobs =
     Arg.(
       value & opt int 1
@@ -119,7 +131,10 @@ let sim_cmd =
   let cache_budget =
     Arg.(
       value
-      & opt (some int) None
+      & opt
+          (some (checked_conv ~expect:"an integer >= 0" int_of_string_opt (fun b -> b >= 0)
+                   Format.pp_print_int))
+          None
       & info [ "cache-budget" ] ~docv:"PAGES"
           ~doc:
             "Place every strategy's stored results under a shared cache budget of $(docv) \
@@ -271,7 +286,7 @@ let sim_cmd =
           comparison.  $(b,--cache-budget) bounds the pages the stored results may \
           occupy; $(b,--adaptive) adds the runtime strategy selector as a fifth row.")
     Term.(
-      const run $ model_term $ params_term $ seed $ scale $ jobs $ faults $ results_json
+      const run $ model_term $ params_term $ seed $ scale_term $ jobs $ faults $ results_json
       $ cache_budget $ cache_policy $ adaptive)
 
 (* ----------------------------------------------------------------- cost *)
@@ -397,11 +412,6 @@ let anchors_cmd =
 
 let stats_cmd =
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc:"Workload seed.") in
-  let scale =
-    Arg.(
-      value & opt float 10.0
-      & info [ "scale" ] ~docv:"X" ~doc:"Scale-down factor applied to N, N1, N2, q, k.")
-  in
   let spans =
     Arg.(
       value & opt int 12
@@ -480,7 +490,8 @@ let stats_cmd =
          "Run the workload under one strategy (default rvm) with tracing on, then print the \
           engine's counters, gauges, latency histograms and a span tree of the most recent \
           procedure accesses and update propagations.")
-    Term.(const run $ model_term $ params_term $ strategy_term $ seed $ scale $ spans $ json)
+    Term.(
+      const run $ model_term $ params_term $ strategy_term $ seed $ scale_term $ spans $ json)
 
 (* ----------------------------------------------------------- json-check *)
 
@@ -556,8 +567,21 @@ let shell_cmd =
         | Some line when String.trim line = "" -> loop ()
         | Some line when String.trim line = "quit" || String.trim line = "exit" -> ()
         | Some line ->
+          (* A server refuses [save]: the shell saves the server's
+             [show script] reply here, on the client. *)
+          let line, print_output =
+            match Lang.Parser.parse_command line with
+            | Lang.Ast.Save file ->
+              ( Lang.Ast.to_string (Lang.Ast.Show `Script),
+                fun script ->
+                  match Lang.Interp.save_script ~file script with
+                  | saved -> print_endline saved
+                  | exception Lang.Interp.Runtime_error msg -> Printf.printf "error: %s\n" msg )
+            | _ | (exception (Lang.Parser.Parse_error _ | Lang.Lexer.Lex_error _)) ->
+              (line, print_endline)
+          in
           (match Net.Client.call client (Net.Protocol.Exec_line line) with
-          | Net.Protocol.Output output -> print_endline output
+          | Net.Protocol.Output output -> print_output output
           | Net.Protocol.Failed msg -> Printf.printf "error: %s\n" msg
           | Net.Protocol.Rejected msg -> Printf.printf "rejected: %s\n" msg
           | Net.Protocol.Aborted msg -> Printf.printf "aborted: %s\n" msg
@@ -730,20 +754,22 @@ let serve_cmd =
         (const run $ host $ port $ shards $ max_conns $ max_inflight $ idle_timeout $ max_frame
        $ trace $ no_plan_cache))
 
-(* "NODE:AT_OP" → a scheduled whole-node kill *)
-let parse_kill s =
+(* "NODE:AT_OP" → a scheduled whole-node kill of one of [nodes] *)
+let parse_kill ~nodes s =
   match String.split_on_char ':' s with
   | [ n; a ] -> (
     match (int_of_string_opt n, int_of_string_opt a) with
-    | Some node, Some at_op when node >= 0 && at_op >= 1 ->
+    | Some node, Some at_op when node >= 0 && node < nodes && at_op >= 1 ->
       Ok { Fault.Injector.node; at_op }
-    | _ -> Error (Printf.sprintf "%S: expected NODE:AT_OP (node >= 0, at_op >= 1)" s))
+    | _ ->
+      Error
+        (Printf.sprintf "%S: expected NODE:AT_OP (0 <= node < %d, at_op >= 1)" s nodes))
   | _ -> Error (Printf.sprintf "%S: expected NODE:AT_OP" s)
 
-let parse_kills specs =
+let parse_kills ~nodes specs =
   List.fold_left
     (fun acc s ->
-      match (acc, parse_kill s) with
+      match (acc, parse_kill ~nodes s) with
       | Error _, _ -> acc
       | Ok ks, Ok k -> Ok (k :: ks)
       | Ok _, Error msg -> Error msg)
@@ -878,7 +904,7 @@ let loadgen_cmd =
       | None -> drive ~host ~port
       | Some nodes when nodes < 1 -> `Error (true, "--cluster must be >= 1")
       | Some nodes -> (
-        match parse_kills cluster_kill with
+        match parse_kills ~nodes cluster_kill with
         | Error msg -> `Error (true, msg)
         | Ok kills -> (
           match Net.Cluster.launch ~base_port:cluster_base_port ~nodes () with
@@ -979,7 +1005,7 @@ let cluster_cmd =
     if nodes < 1 then `Error (true, "--nodes must be >= 1")
     else if key_domain < 1 then `Error (true, "--key-domain must be >= 1")
     else
-      match parse_kills kill with
+      match parse_kills ~nodes kill with
       | Error msg -> `Error (true, msg)
       | Ok kills -> (
         match
@@ -1123,7 +1149,7 @@ let cluster_check_cmd =
     else if appends < 2 then `Error (true, "--appends must be >= 2")
     else
       match
-        match (parse_kills kill, parse_kill_points nodes kill_point) with
+        match (parse_kills ~nodes kill, parse_kill_points nodes kill_point) with
         | (Error _ as e), _ | _, (Error _ as e) -> e
         | Ok ks, Ok kps -> Ok (ks, kps)
       with

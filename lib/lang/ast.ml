@@ -29,6 +29,16 @@ type command =
   | Commit
   | Abort
 
+type stmt_class = Read | Write | Ddl | Introspection | Session_file | Txn_control
+
+let classify = function
+  | Retrieve _ | Exec _ -> Read
+  | Append _ | Delete _ | Replace _ -> Write
+  | Create _ | Index _ | Define_proc _ | Strategy _ -> Ddl
+  | Explain _ | Show _ | Help | Reset_cost -> Introspection
+  | Save _ -> Session_file
+  | Begin | Commit | Abort -> Txn_control
+
 module Value = Dbproc_relation.Value
 
 let value_of_literal = function

@@ -64,6 +64,21 @@ type command =
   | Commit  (** commit it, releasing 2PL locks *)
   | Abort  (** roll it back ([abort] or [rollback]) *)
 
+(** What a statement does, for every layer that routes, locks, logs or
+    refuses it.  The classifier is total: a new command must be given a
+    class before anything compiles. *)
+type stmt_class =
+  | Read  (** [retrieve], [exec]: return tuples *)
+  | Write  (** [append], [delete], [replace] *)
+  | Ddl  (** [create], [index], [define proc], [strategy] *)
+  | Introspection
+      (** [explain], [show], [help], [reset cost]: describe the session
+          or reset its counters, change no data *)
+  | Session_file  (** [save]: writes a file where the statement runs *)
+  | Txn_control  (** [begin], [commit], [abort] *)
+
+val classify : command -> stmt_class
+
 val to_string : command -> string
 (** The one statement printer, and the lexer's inverse:
     [Parser.parse_command (to_string c) = c] for every command whose

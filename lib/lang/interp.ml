@@ -43,10 +43,6 @@ type t = {
   mutable logging_txn : Tm.id option;
       (* the explicit transaction mutation statements log undo for *)
   stmt_cache : Stmt_cache.t option;
-  mutable stmt_hint : Stmt_cache.entry option;
-      (* the cache entry for the statement text currently executing, set
-         by [exec_client] so the retrieve path and the lock computation
-         can reuse (or fill) its prepared plan *)
 }
 
 let fresh_manager t kind = Manager.create kind ~io:t.io ~record_bytes:t.tuple_bytes ()
@@ -74,7 +70,6 @@ let create ?ctx ?(page_bytes = 4000) ?(tuple_bytes = 100) ?(plan_cache = true) (
       (if plan_cache then
          Some (Stmt_cache.create ~metrics:(Dbproc_obs.Ctx.metrics (Cost.ctx cost)) ())
        else None);
-    stmt_hint = None;
   }
 
 let strategy_name t = Manager.kind_name (Manager.kind t.manager)
@@ -124,7 +119,7 @@ let target_relations (r : Ast.retrieve) =
     (fun acc (rel, _) -> if List.mem rel acc then acc else acc @ [ rel ])
     [] r.targets
 
-let bind_retrieve_full t (r : Ast.retrieve) =
+let bind_retrieve_projected t (r : Ast.retrieve) =
   (match r.targets with
   | [] -> error "retrieve needs at least one target"
   | _ -> ());
@@ -227,7 +222,7 @@ let bind_retrieve_full t (r : Ast.retrieve) =
     in
     (def, projection)
 
-let bind_retrieve t r = fst (bind_retrieve_full t r)
+let bind_retrieve t r = fst (bind_retrieve_projected t r)
 
 let project projection tuple =
   match projection with
@@ -297,21 +292,21 @@ let format_tuples tuples =
   Buffer.add_string buf (Printf.sprintf "(%d tuples)" (List.length tuples));
   Buffer.contents buf
 
-(* Bind + plan + compile a retrieve, reusing — and on a miss, filling —
-   the statement-cache entry for the line currently executing.  Binding,
+(* Bind + plan + compile the retrieve [r] of statement [stmt], reusing —
+   and on a miss, filling — the statement's prepared plan.  Binding,
    planning and compilation are uncharged (compile-time work), so the
    cache changes wall-clock only, never simulated cost. *)
-let retrieve_prepared t (r : Ast.retrieve) =
-  match t.stmt_hint with
-  | Some { Stmt_cache.prepared = Some p; _ } -> p
-  | hint ->
-    let def, projection = bind_retrieve_full t r in
+let retrieve_prepared t (stmt : Stmt_cache.entry) (r : Ast.retrieve) =
+  match stmt.prepared with
+  | Some p -> p
+  | None ->
+    let def, projection = bind_retrieve_projected t r in
     let plan =
       try Planner.compile def
       with Planner.Unsupported_plan msg -> error "cannot plan this query: %s" msg
     in
     let p = { Stmt_cache.def; projection; exec = Executor.prepare plan } in
-    (match hint with Some e -> e.Stmt_cache.prepared <- Some p | None -> ());
+    stmt.prepared <- Some p;
     p
 
 (* Drop every cached statement plan; called after anything that can
@@ -407,8 +402,39 @@ let undo_update t ~rel ~rid ~before ~after =
   | Some l, Some id -> Tm.log_update l.tm id ~rel ~rid ~before ~after
   | _ -> ()
 
-let exec_command_body t (cmd : Ast.command) =
-  match cmd with
+(* Raw-tuple execution of a read: the result tuples, projected, and the
+   simulated ms the execution charged.  [exec_command_body] formats them;
+   a coordinator merges partitions and digests a sorted multiset. *)
+let fetch_body t (stmt : Stmt_cache.entry) =
+  let timed projection run =
+    let before = Cost.snapshot t.cost in
+    let tuples = run () in
+    let spent = Cost.diff_ms t.charges ~before ~after:(Cost.snapshot t.cost) in
+    (List.map (project projection) tuples, spent)
+  in
+  match stmt.cmd with
+  | Ast.Retrieve r ->
+    let { Stmt_cache.projection; exec; _ } = retrieve_prepared t stmt r in
+    timed projection (fun () -> Executor.run_prepared exec)
+  | Ast.Exec name -> (
+    match List.assoc_opt name t.proc_ids with
+    | None -> error "unknown procedure %S" name
+    | Some id ->
+      let projection =
+        match List.assoc_opt name t.defs with Some p -> p.projection | None -> None
+      in
+      timed projection (fun () -> Manager.access t.manager id))
+  | _ -> error "fetch: not a tuple-producing statement"
+
+(* Write a session dump to [file]; the message is what [save] answers. *)
+let save_script ~file script =
+  (try Out_channel.with_open_text file (fun oc -> Out_channel.output_string oc script)
+   with Sys_error msg -> error "%s" msg);
+  Printf.sprintf "saved session to %s (%d lines)" file
+    (List.length (String.split_on_char '\n' script))
+
+let exec_command_body t (stmt : Stmt_cache.entry) =
+  match stmt.cmd with
   | Ast.Create { rel; attrs } ->
     if Catalog.find_opt t.catalog rel <> None then error "relation %S already exists" rel;
     let schema =
@@ -486,39 +512,25 @@ let exec_command_body t (cmd : Ast.command) =
       changes old_new;
     Manager.on_update t.manager ~rel:r ~changes:old_new;
     Printf.sprintf "replaced %d tuples in %s" (List.length changes) rel
-  | Ast.Retrieve r ->
-    let { Stmt_cache.projection; exec; _ } = retrieve_prepared t r in
-    let before = Cost.snapshot t.cost in
-    let tuples = Executor.run_prepared exec in
-    let spent = Cost.diff_ms t.charges ~before ~after:(Cost.snapshot t.cost) in
-    Printf.sprintf "%s\n%.0f ms (simulated)"
-      (format_tuples (List.map (project projection) tuples))
-      spent
+  | Ast.Retrieve _ ->
+    let tuples, spent = fetch_body t stmt in
+    Printf.sprintf "%s\n%.0f ms (simulated)" (format_tuples tuples) spent
   | Ast.Explain r ->
     let def = bind_retrieve t r in
     (try Format.asprintf "%a" Explain.pp_report (Explain.explain_run def)
      with Planner.Unsupported_plan msg -> error "cannot plan this query: %s" msg)
   | Ast.Define_proc { name; body } ->
     if List.mem_assoc name t.proc_ids then error "procedure %S already defined" name;
-    let def, projection = bind_retrieve_full t body in
+    let def, projection = bind_retrieve_projected t body in
     let def = { def with View_def.name } in
     (try register_procedure t name def
      with Planner.Unsupported_plan msg -> error "cannot plan this procedure: %s" msg);
     t.defs <- (name, { body; def; projection }) :: t.defs;
     Printf.sprintf "defined procedure %s under %s" name (strategy_name t)
-  | Ast.Exec name -> (
-    match List.assoc_opt name t.proc_ids with
-    | None -> error "unknown procedure %S" name
-    | Some id ->
-      let projection =
-        match List.assoc_opt name t.defs with Some p -> p.projection | None -> None
-      in
-      let before = Cost.snapshot t.cost in
-      let tuples = Manager.access t.manager id in
-      let spent = Cost.diff_ms t.charges ~before ~after:(Cost.snapshot t.cost) in
-      Printf.sprintf "%s\n%.0f ms (simulated, %s)"
-        (format_tuples (List.map (project projection) tuples))
-        spent (strategy_name t))
+  | Ast.Exec _ ->
+    let tuples, spent = fetch_body t stmt in
+    Printf.sprintf "%s\n%.0f ms (simulated, %s)" (format_tuples tuples) spent
+      (strategy_name t)
   | Ast.Strategy s ->
     let kind =
       match Dbproc_costmodel.Strategy.of_string s with
@@ -552,11 +564,7 @@ let exec_command_body t (cmd : Ast.command) =
       t.charges.Cost.c1_screen_ms t.charges.Cost.c2_io_ms t.charges.Cost.c3_delta_ms
       t.charges.Cost.c_inval_ms
   | Ast.Show `Script -> session_script t
-  | Ast.Save file ->
-    let script = session_script t in
-    Out_channel.with_open_text file (fun oc -> Out_channel.output_string oc script);
-    Printf.sprintf "saved session to %s (%d lines)" file
-      (List.length (String.split_on_char '\n' script))
+  | Ast.Save file -> save_script ~file (session_script t)
   | Ast.Show `Network -> (
     match Manager.rete_dot t.manager with
     | Some dot -> dot
@@ -572,11 +580,13 @@ let exec_command_body t (cmd : Ast.command) =
 
 (* --------------------------------------------------------- transactions *)
 
-type outcome =
-  | O_ok of string
+type 'a answer =
+  | O_ok of 'a
   | O_error of string
   | O_blocked of int list
   | O_aborted of string
+
+type outcome = string answer
 
 let ensure_layer t =
   match t.layer with
@@ -603,11 +613,12 @@ let client_of l client =
 
 (* The locks a statement needs, computed BEFORE anything executes — a
    statement that blocks has done no work and is retried verbatim.
-   Reads take S on what each plan source inspects; deletes and replaces
-   take X on the restriction's region plus (for replace) X points on
-   every assigned new value; appends take X on the whole relation
-   (phantom-conservative).  DDL and admin commands are unlocked. *)
-let lock_set t (cmd : Ast.command) =
+   Reads (and [explain], which binds what it would read) take S on what
+   each plan source inspects; deletes and replaces take X on the
+   restriction's region plus (for replace) X points on every assigned new
+   value; appends take X on the whole relation (phantom-conservative).
+   DDL, introspection and session files are unlocked. *)
+let lock_set t (stmt : Stmt_cache.entry) =
   let source_locks def =
     List.map
       (fun (s : View_def.source) ->
@@ -617,12 +628,10 @@ let lock_set t (cmd : Ast.command) =
             s.View_def.restriction ))
       (View_def.sources def)
   in
-  match cmd with
+  match stmt.cmd with
   | Ast.Retrieve r | Ast.Explain r ->
     source_locks
-      (match t.stmt_hint with
-      | Some { Stmt_cache.prepared = Some p; _ } -> p.Stmt_cache.def
-      | _ -> bind_retrieve t r)
+      (match stmt.prepared with Some p -> p.Stmt_cache.def | None -> bind_retrieve t r)
   | Ast.Exec name -> (
     match List.assoc_opt name t.defs with
     | Some p -> source_locks p.def
@@ -653,7 +662,9 @@ let lock_set t (cmd : Ast.command) =
       in
       base :: points
     | None -> [])
-  | _ -> []
+  | Ast.Create _ | Ast.Index _ | Ast.Define_proc _ | Ast.Strategy _ | Ast.Show _
+  | Ast.Help | Ast.Reset_cost | Ast.Save _ | Ast.Begin | Ast.Commit | Ast.Abort ->
+    []
 
 let doom_owner l victim =
   Hashtbl.iter
@@ -691,42 +702,63 @@ let acquire_locks l cs id locks =
   in
   acquire_all locks
 
-let exec_txn t ~client (cmd : Ast.command) =
+(* A client whose transaction another client's deadlock resolution
+   aborted learns it here, on its next statement, which does not run. *)
+let take_doom cs =
+  cs.doomed
+  && begin
+       cs.doomed <- false;
+       cs.txn <- None;
+       cs.implicit <- false;
+       true
+     end
+
+let victim_answer = O_aborted "transaction aborted: chosen as deadlock victim"
+
+let attempt f =
+  match f () with
+  | v -> O_ok v
+  | exception Runtime_error msg -> O_error msg
+  | exception Invalid_argument msg -> O_error msg
+
+let txn_control t ~client cmd =
   let l = ensure_layer t in
   let cs = client_of l client in
-  if cs.doomed then begin
-    cs.doomed <- false;
-    cs.txn <- None;
-    cs.implicit <- false;
-    O_aborted "transaction aborted: chosen as deadlock victim"
-  end
+  if take_doom cs then victim_answer
   else
-    match cmd with
-    | Ast.Begin -> (
-      match cs.txn with
-      | Some _ -> O_error "a transaction is already open"
-      | None ->
-        cs.txn <- Some (Tm.begin_ l.tm);
-        cs.implicit <- false;
-        O_ok "transaction started")
-    | Ast.Commit -> (
-      match cs.txn with
-      | None -> O_error "no open transaction"
-      | Some id ->
-        let broken = Tm.commit l.tm id in
-        cs.txn <- None;
-        O_ok
-          (if broken = [] then "committed"
-           else Printf.sprintf "committed (%d i-locks broken)" (List.length broken)))
-    | Ast.Abort -> (
-      match cs.txn with
-      | None -> O_error "no open transaction"
-      | Some id ->
-        let n = Tm.abort l.tm id in
-        cs.txn <- None;
-        O_ok (Printf.sprintf "aborted (%d undo records applied)" n))
-    | _ -> (
-      match lock_set t cmd with
+    match (cmd, cs.txn) with
+    | `Begin, Some _ -> O_error "a transaction is already open"
+    | `Begin, None ->
+      cs.txn <- Some (Tm.begin_ l.tm);
+      cs.implicit <- false;
+      O_ok "transaction started"
+    | (`Commit | `Abort), None -> O_error "no open transaction"
+    | `Commit, Some id ->
+      let broken = Tm.commit l.tm id in
+      cs.txn <- None;
+      O_ok
+        (if broken = [] then "committed"
+         else Printf.sprintf "committed (%d i-locks broken)" (List.length broken))
+    | `Abort, Some id ->
+      let n = Tm.abort l.tm id in
+      cs.txn <- None;
+      O_ok (Printf.sprintf "aborted (%d undo records applied)" n)
+
+(* The one lock-and-run path: run [body] on [stmt] for [client] and
+   answer with its value.  While no transaction has ever been opened on
+   the session this is the pre-transaction fast path, byte-identical in
+   cost and output.  After that, every statement runs under strict 2PL —
+   inside the client's open transaction, or an implicit single-statement
+   one that commits as soon as the body has run — and takes all its
+   locks before the body runs. *)
+let run_stmt t ~client (stmt : Stmt_cache.entry) body =
+  match t.layer with
+  | None -> attempt (fun () -> body t stmt)
+  | Some l -> (
+    let cs = client_of l client in
+    if take_doom cs then victim_answer
+    else
+      match lock_set t stmt with
       | exception Runtime_error msg -> O_error msg
       | exception Invalid_argument msg -> O_error msg
       | locks -> (
@@ -747,63 +779,63 @@ let exec_txn t ~client (cmd : Ast.command) =
         | `Go ->
           let implicit = cs.implicit in
           t.logging_txn <- (if implicit then None else Some id);
-          let result =
-            match exec_command_body t cmd with
-            | s -> Ok s
-            | exception Runtime_error msg -> Error msg
-            | exception Invalid_argument msg -> Error msg
-          in
+          let answer = attempt (fun () -> body t stmt) in
           t.logging_txn <- None;
           if implicit then begin
             ignore (Tm.commit l.tm id);
             cs.txn <- None;
             cs.implicit <- false
           end;
-          (match result with Ok s -> O_ok s | Error msg -> O_error msg)))
+          answer))
 
-(* Parse through the statement cache: a cached line skips the lexer and
-   parser entirely (and, once its entry is prepared, the binder, planner
-   and plan compiler too).  Only [retrieve] is cached end-to-end —
-   everything else re-parses each time. *)
-let parse_cached t line =
-  match t.stmt_cache with
-  | None -> Parser.parse_command line
-  | Some cache -> (
-    let key = Stmt_cache.normalize line in
-    match Stmt_cache.find cache key with
-    | Some entry ->
-      (match entry.Stmt_cache.prepared with
-      | Some _ -> Stmt_cache.note_hit cache
-      | None -> Stmt_cache.note_miss cache);
-      t.stmt_hint <- Some entry;
-      entry.Stmt_cache.cmd
-    | None ->
-      let cmd = Parser.parse_command line in
-      (match cmd with
-      | Ast.Retrieve _ ->
-        let entry = { Stmt_cache.cmd; prepared = None } in
-        Stmt_cache.store cache key entry;
-        Stmt_cache.note_miss cache;
-        t.stmt_hint <- Some entry
-      | _ -> ());
-      cmd)
+(* Parse a line into a statement value through the statement cache: a
+   cached line skips the lexer and parser entirely (and, once its entry
+   is prepared, the binder, planner and plan compiler too).  Only
+   [retrieve] is stored; any other statement gets an entry of its own. *)
+let parse t line =
+  let parsed () = { Stmt_cache.cmd = Parser.parse_command line; prepared = None } in
+  match
+    match t.stmt_cache with
+    | None -> parsed ()
+    | Some cache -> (
+      let key = Stmt_cache.normalize line in
+      match Stmt_cache.find cache key with
+      | Some entry ->
+        (match entry.Stmt_cache.prepared with
+        | Some _ -> Stmt_cache.note_hit cache
+        | None -> Stmt_cache.note_miss cache);
+        entry
+      | None ->
+        let entry = parsed () in
+        (match entry.cmd with
+        | Ast.Retrieve _ ->
+          Stmt_cache.store cache key entry;
+          Stmt_cache.note_miss cache
+        | _ -> ());
+        entry)
+  with
+  | stmt -> Ok stmt
+  | exception Parser.Parse_error msg -> Error msg
+  | exception Lexer.Lex_error msg -> Error msg
+
+let exec_stmt t ~client (stmt : Stmt_cache.entry) =
+  match stmt.cmd with
+  | Ast.Begin -> txn_control t ~client `Begin
+  | Ast.Commit -> txn_control t ~client `Commit
+  | Ast.Abort -> txn_control t ~client `Abort
+  | _ -> run_stmt t ~client stmt exec_command_body
+
+(* A fetch of anything but a read is refused before any lock is taken. *)
+let fetch_stmt t ~client (stmt : Stmt_cache.entry) =
+  match Ast.classify stmt.cmd with
+  | Ast.Read -> run_stmt t ~client stmt fetch_body
+  | Ast.Write | Ast.Ddl | Ast.Introspection | Ast.Session_file | Ast.Txn_control ->
+    O_error "fetch: not a tuple-producing statement"
 
 let exec_client t ~client line =
-  t.stmt_hint <- None;
-  match parse_cached t line with
-  | exception Parser.Parse_error msg -> O_error msg
-  | exception Lexer.Lex_error msg -> O_error msg
-  | (Ast.Begin | Ast.Commit | Ast.Abort) as cmd -> exec_txn t ~client cmd
-  | cmd -> (
-    match t.layer with
-    | None -> (
-      (* no transaction has ever been opened: the pre-transaction fast
-         path, byte-identical in cost and output *)
-      match exec_command_body t cmd with
-      | s -> O_ok s
-      | exception Runtime_error msg -> O_error msg
-      | exception Invalid_argument msg -> O_error msg)
-    | Some _ -> exec_txn t ~client cmd)
+  match parse t line with
+  | Error msg -> O_error msg
+  | Ok stmt -> exec_stmt t ~client stmt
 
 let in_transaction t ~client =
   match t.layer with
@@ -825,12 +857,12 @@ let abort_client t ~client =
         true
       | _ -> false))
 
-let result_of_outcome = function
-  | O_ok s -> Ok s
+let result_of_answer = function
+  | O_ok v -> Ok v
   | O_error msg | O_aborted msg -> Error msg
   | O_blocked _ -> Error "blocked on a concurrent transaction"
 
-let exec_line t line = result_of_outcome (exec_client t ~client:0 line)
+let exec_line t line = result_of_answer (exec_client t ~client:0 line)
 
 let run_script exec script =
   let buf = Buffer.create 256 in
@@ -840,7 +872,7 @@ let run_script exec script =
       let trimmed = String.trim line in
       if trimmed = "" || String.starts_with ~prefix:"--" trimmed then go (lineno + 1) rest
       else
-        match result_of_outcome (exec trimmed) with
+        match result_of_answer (exec trimmed) with
         | Ok output ->
           Printf.bprintf buf "> %s\n%s\n" trimmed output;
           go (lineno + 1) rest
@@ -850,109 +882,13 @@ let run_script exec script =
 
 let exec_script t = run_script (exec_client t ~client:0)
 
-(* ------------------------------------------------------ cluster support *)
-
-let bind_retrieve_projected t r = bind_retrieve_full t r
-
-(* Raw-tuple execution of a [retrieve] or [exec] command body: same
-   charging and statement-cache path as the formatted arms of
-   [exec_command_body], but the tuples come back unformatted so a
-   coordinator can merge partitions and digest a sorted multiset. *)
-let fetch_body t cmd =
-  let run () =
-    match cmd with
-    | Ast.Retrieve r ->
-      let { Stmt_cache.projection; exec; _ } = retrieve_prepared t r in
-      let before = Cost.snapshot t.cost in
-      let tuples = Executor.run_prepared exec in
-      let spent = Cost.diff_ms t.charges ~before ~after:(Cost.snapshot t.cost) in
-      (List.map (project projection) tuples, spent)
-    | Ast.Exec name -> (
-      match List.assoc_opt name t.proc_ids with
-      | None -> error "unknown procedure %S" name
-      | Some id ->
-        let projection =
-          match List.assoc_opt name t.defs with Some p -> p.projection | None -> None
-        in
-        let before = Cost.snapshot t.cost in
-        let tuples = Manager.access t.manager id in
-        let spent = Cost.diff_ms t.charges ~before ~after:(Cost.snapshot t.cost) in
-        (List.map (project projection) tuples, spent))
-    | _ -> error "fetch: not a tuple-producing statement"
-  in
-  match run () with
-  | result -> Ok result
-  | exception Runtime_error msg -> Error msg
-  | exception Invalid_argument msg -> Error msg
-
-(* Lock-free fetch: the pre-transaction fast path.  Once any client has
-   opened a transaction on this session, readers that must respect 2PL
-   should go through [fetch_client] instead. *)
+(* Lock-free fetch: runs outside the lock layer even after a transaction
+   has opened on the session.  Readers that must respect 2PL go through
+   [fetch_stmt]. *)
 let fetch t line =
-  t.stmt_hint <- None;
-  match parse_cached t line with
-  | exception Parser.Parse_error msg -> Error msg
-  | exception Lexer.Lex_error msg -> Error msg
-  | cmd -> fetch_body t cmd
-
-type fetch_outcome =
-  | F_tuples of Dbproc_relation.Tuple.t list * float
-  | F_error of string
-  | F_blocked of int list
-  | F_aborted of string
-
-(* Raw-tuple fetch under the lock layer: takes the statement's S locks
-   inside [client]'s transaction (autocommitting a single-statement one
-   if none is open), so a distributed transaction's reads are covered by
-   strict 2PL like its writes.  Falls back to the unlocked fast path
-   while no transaction has ever been opened. *)
-let fetch_client t ~client line =
-  t.stmt_hint <- None;
-  match parse_cached t line with
-  | exception Parser.Parse_error msg -> F_error msg
-  | exception Lexer.Lex_error msg -> F_error msg
-  | cmd -> (
-    match t.layer with
-    | None -> (
-      match fetch_body t cmd with
-      | Ok (tuples, ms) -> F_tuples (tuples, ms)
-      | Error msg -> F_error msg)
-    | Some l ->
-      let cs = client_of l client in
-      if cs.doomed then begin
-        cs.doomed <- false;
-        cs.txn <- None;
-        cs.implicit <- false;
-        F_aborted "transaction aborted: chosen as deadlock victim"
-      end
-      else (
-        match lock_set t cmd with
-        | exception Runtime_error msg -> F_error msg
-        | exception Invalid_argument msg -> F_error msg
-        | locks -> (
-          let id =
-            match cs.txn with
-            | Some id -> id
-            | None ->
-              let id = Tm.begin_ l.tm in
-              cs.txn <- Some id;
-              cs.implicit <- true;
-              id
-          in
-          match acquire_locks l cs id locks with
-          | `Parked blockers -> F_blocked blockers
-          | `Self_aborted -> F_aborted "deadlock: transaction aborted (victim)"
-          | `Go ->
-            let implicit = cs.implicit in
-            let result = fetch_body t cmd in
-            if implicit then begin
-              ignore (Tm.commit l.tm id);
-              cs.txn <- None;
-              cs.implicit <- false
-            end;
-            (match result with
-            | Ok (tuples, ms) -> F_tuples (tuples, ms)
-            | Error msg -> F_error msg))))
+  match parse t line with
+  | Error msg -> Error msg
+  | Ok stmt -> result_of_answer (attempt (fun () -> fetch_body t stmt))
 
 (* Which client owns transaction [id]?  Lets a cluster node translate
    [O_blocked] holder ids into the coordinator's global transaction ids. *)

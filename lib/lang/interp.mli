@@ -57,8 +57,8 @@ val simulated_ms : t -> float
     when a lock holder finishes — that is what lets the server park
     blocked requests instead of stalling a shard. *)
 
-type outcome =
-  | O_ok of string  (** executed; human-readable output *)
+type 'a answer =
+  | O_ok of 'a  (** executed; the body's value *)
   | O_error of string  (** parse or semantic error; no transaction change *)
   | O_blocked of int list
       (** the statement blocked on these transactions before executing
@@ -67,11 +67,39 @@ type outcome =
       (** the client's transaction was aborted as a deadlock victim and
           has been rolled back; the statement did not run *)
 
+type outcome = string answer
+(** A statement's answer as human-readable output. *)
+
+(** {2 Statements}
+
+    A line is parsed once, into a statement value: its statement-cache
+    entry, which carries the parsed command and, for a [retrieve], the
+    prepared plan.  Every layer above — a cluster node, a coordinator's
+    scratch binder — classifies and executes that value; none parses the
+    line again. *)
+
+val parse : t -> string -> (Stmt_cache.entry, string) result
+(** Lex and parse through the statement cache ({!Stmt_cache}): a cached
+    line is not parsed again.  Lexer and parser errors are [Error]. *)
+
+val exec_stmt : t -> client:int -> Stmt_cache.entry -> outcome
+(** Execute a parsed statement on behalf of [client] (the server passes
+    its connection id).  Transaction control opens, commits or aborts the
+    client's transaction.  Until the first [begin] anywhere in the
+    session every other statement runs on the pre-transaction path — no
+    locks, no extra cost; after it, under strict 2PL. *)
+
+val fetch_stmt :
+  t -> client:int -> Stmt_cache.entry -> (Dbproc_relation.Tuple.t list * float) answer
+(** {!exec_stmt} for a read, answering the raw result tuples plus the
+    simulated milliseconds the execution charged instead of formatted
+    output, so a coordinator can merge partitions.  The same lock path as
+    {!exec_stmt}: a distributed transaction's reads are covered by strict
+    2PL like its writes.  Anything but a read is refused before any lock
+    is taken. *)
+
 val exec_client : t -> client:int -> string -> outcome
-(** Parse and execute one line on behalf of [client] (the server passes
-    its connection id; {!exec_line} is [exec_client ~client:0]).  Until
-    the first [begin] anywhere in the session this is byte-identical to
-    the pre-transaction interpreter — no locks, no extra cost. *)
+(** {!parse}, then {!exec_stmt}; {!exec_line} is [exec_client ~client:0]. *)
 
 val in_transaction : t -> client:int -> bool
 (** Whether the client currently has a transaction open (explicit, or an
@@ -81,6 +109,10 @@ val abort_client : t -> client:int -> bool
 (** Disconnect cleanup: abort and roll back the client's open
     transaction, if any, and forget the client.  Returns [true] when a
     transaction was actually aborted. *)
+
+val result_of_answer : 'a answer -> ('a, string) result
+(** [O_ok v] is [Ok v]; an error or an abort is its message; a block is
+    ["blocked on a concurrent transaction"]. *)
 
 val exec_line : t -> string -> (string, string) result
 (** Parse and execute one input line; lexer/parser/runtime errors come
@@ -96,6 +128,12 @@ val run_script : (string -> outcome) -> string -> (string, string) result
     line's output and a newline, per executed line.  Stops at the first
     failure with [line N: message], N counting every physical line. *)
 
+val save_script : file:string -> string -> string
+(** Write a session dump to [file] and answer what [save] prints:
+    [saved session to FILE (N lines)].  [procsim shell --connect] saves
+    a server's [show script] reply with it, on the client.
+    @raise Runtime_error if the file cannot be written. *)
+
 (** {2 Cluster support} *)
 
 val bind_retrieve_projected :
@@ -109,28 +147,12 @@ val bind_retrieve_projected :
 
 val fetch :
   t -> string -> (Dbproc_relation.Tuple.t list * float, string) result
-(** Execute a [retrieve] or [exec] line and return the raw result tuples
-    plus the simulated milliseconds the execution charged, instead of
-    formatted output.  Same charging and statement-cache behavior as
-    {!exec_line}; runs outside the lock layer — the fast path while no
-    transaction has ever been opened on the session.  Readers that must
-    respect 2PL go through {!fetch_client}. *)
-
-type fetch_outcome =
-  | F_tuples of Dbproc_relation.Tuple.t list * float
-      (** raw result tuples plus the simulated ms the execution charged *)
-  | F_error of string  (** parse or semantic error *)
-  | F_blocked of int list
-      (** blocked on these transactions before reading anything *)
-  | F_aborted of string
-      (** the client's transaction was aborted as a deadlock victim *)
-
-val fetch_client : t -> client:int -> string -> fetch_outcome
-(** {!fetch} under the lock layer: acquires the statement's S locks
-    inside [client]'s open transaction (or an implicit single-statement
-    one) before reading, so a distributed transaction's reads are covered
-    by strict 2PL like its writes.  Identical to {!fetch} while no
-    transaction has ever been opened. *)
+(** Parse and execute a [retrieve] or [exec] line and return the raw
+    result tuples plus the simulated milliseconds the execution charged,
+    instead of formatted output.  Same charging and statement-cache
+    behavior as {!exec_line}, but it runs outside the lock layer even
+    once a transaction has opened on the session; readers that must
+    respect 2PL go through {!fetch_stmt}. *)
 
 val client_of_txn : t -> int -> int option
 (** Which client owns the given transaction-manager id, if any — lets a

@@ -92,9 +92,4 @@ let invalidate t =
   Hashtbl.reset t.tbl;
   Queue.clear t.order
 
-let stats t =
-  ( Metrics.get t.metrics Metrics.Plan_cache_hits,
-    Metrics.get t.metrics Metrics.Plan_cache_misses,
-    Metrics.get t.metrics Metrics.Plan_cache_invalidations )
-
 let size t = Hashtbl.length t.tbl

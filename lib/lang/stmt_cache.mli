@@ -55,7 +55,4 @@ val invalidate : t -> unit
 (** Drop everything; counts one [plan_cache.invalidations] per entry
     that held a prepared plan. *)
 
-val stats : t -> int * int * int
-(** (hits, misses, invalidations) from the session's registry. *)
-
 val size : t -> int

@@ -199,8 +199,6 @@ let spawn_replica t i =
 
 let shutdown t = List.iter stop t.all
 
-let pids t = List.map (fun p -> p.pid) t.all
-
 (* ------------------------------------------- coordinator as a backend *)
 
 (* Run a whole cluster behind one {!Server}: the factory builds the
@@ -230,11 +228,14 @@ let coordinator_backend ?key_domain ?injector ?(on_kill = fun _ -> ())
     | `Done r -> `Resp (resp_of r)
     | `Park _ -> `Park
   in
-  let exec_script script =
+  (* A script runs on behalf of its connection, inside its transaction
+     if it has one open. *)
+  let exec_script ~client script =
     let exec line =
-      let r = Coordinator.exec coord line in
-      if r.Coordinator.ok then Dbproc_lang.Interp.O_ok r.Coordinator.output
-      else Dbproc_lang.Interp.O_error r.Coordinator.output
+      match Coordinator.exec_client coord ~client line with
+      | `Done r when r.Coordinator.ok -> Dbproc_lang.Interp.O_ok r.Coordinator.output
+      | `Done r -> Dbproc_lang.Interp.O_error r.Coordinator.output
+      | `Park holders -> Dbproc_lang.Interp.O_blocked holders
     in
     match Dbproc_lang.Interp.run_script exec script with
     | Ok out -> Protocol.Output out
@@ -249,7 +250,7 @@ let coordinator_backend ?key_domain ?injector ?(on_kill = fun _ -> ())
     | Protocol.Begin -> exec_line ~client "begin"
     | Protocol.Commit -> exec_line ~client "commit"
     | Protocol.Abort -> exec_line ~client "abort"
-    | Protocol.Exec_script script -> `Resp (exec_script script)
+    | Protocol.Exec_script script -> `Resp (exec_script ~client script)
     | Protocol.Stats | Protocol.Shutdown ->
       `Resp (Protocol.Failed "handled by the event loop")
     | Protocol.Fetch _ | Protocol.Join_probe _ | Protocol.Wal_pull _

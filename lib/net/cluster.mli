@@ -9,18 +9,6 @@
     this; tests use {!Coordinator.create_local} instead (no processes,
     deterministic kill switches). *)
 
-type proc
-(** One forked node-server process. *)
-
-val kill : proc -> unit
-(** SIGKILL and reap — the process version of a node crash. *)
-
-val stop : proc -> unit
-(** Graceful drain (a {!Protocol.Shutdown} frame), falling back to
-    {!kill} if the child does not exit within 5 s. *)
-
-(** {2 Whole clusters} *)
-
 type t
 
 val launch :
@@ -52,8 +40,6 @@ val spawn_replica : t -> int -> Coordinator.link option
 val shutdown : t -> unit
 (** Gracefully stop every remaining process (including respawned
     replicas). *)
-
-val pids : t -> int list
 
 (** {2 Coordinator front-end} *)
 

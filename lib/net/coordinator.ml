@@ -4,6 +4,7 @@ module Interp = Dbproc_lang.Interp
 module Parser = Dbproc_lang.Parser
 module Lexer = Dbproc_lang.Lexer
 module Ast = Dbproc_lang.Ast
+module Stmt_cache = Dbproc_lang.Stmt_cache
 module View_def = Dbproc_query.View_def
 module Injector = Dbproc_fault.Injector
 module Cost = Dbproc_storage.Cost
@@ -122,7 +123,6 @@ let create ?ctx ?(key_domain = 1_000_000) ?injector ?(on_kill = fun _ -> ())
 
 let ctx t = t.ctx
 let m t = Ctx.metrics t.ctx
-let node_count t = Array.length t.slots
 let node_down t i = t.slots.(i).down
 let alive_count t =
   Array.fold_left (fun acc s -> if s.down then acc else acc + 1) 0 t.slots
@@ -335,17 +335,16 @@ let txn_send t cx i line =
 
 (* One mutation on node [i].  Autocommit goes through [exec_mut]
    (failover-retry, ship before ack); inside a transaction it runs on the
-   participant branch, and replicable statements are remembered for
-   in-doubt replay. *)
+   participant branch and is remembered for in-doubt replay — a
+   transaction carries only appends, deletes and replaces, which all
+   replicate. *)
 let mutate t cx i line =
   match
     match cx with None -> exec_mut t i line | Some cx -> txn_send t cx i line
   with
   | Error e -> Error e
   | Ok (Protocol.Output out) ->
-    (match cx with
-    | Some cx when Node.replicable line -> cx.tstmts <- (i, line) :: cx.tstmts
-    | _ -> ());
+    Option.iter (fun cx -> cx.tstmts <- (i, line) :: cx.tstmts) cx;
     Ok out
   | Ok (Protocol.Failed msg) -> Error msg
   | Ok (Protocol.Blocked s) -> raise (Stmt_blocked (parse_holders s))
@@ -630,12 +629,16 @@ let scan_count fmt output =
   try Scanf.sscanf output fmt (fun n _ -> Some n) with
   | Scanf.Scan_failure _ | Failure _ | End_of_file -> None
 
-(* DDL and strategy changes replay on the scratch binder first (catching
+let scratch_exec t cmd =
+  Interp.result_of_answer
+    (Interp.exec_stmt t.scratch ~client:0 { Stmt_cache.cmd; prepared = None })
+
+(* DDL and strategy changes run on the scratch binder first (catching
    semantic errors with single-node parity, before any node state
    changes), then broadcast to every node.  The scratch output doubles as
    the cluster output — these outputs are data-independent. *)
-let route_ddl t line ~on_success =
-  match Interp.exec_line t.scratch line with
+let route_ddl t line cmd ~on_success =
+  match scratch_exec t cmd with
   | Error msg -> fail "%s" msg
   | Ok output ->
     Metrics.incr (m t) Metrics.Cluster_stmts_broadcast;
@@ -699,11 +702,51 @@ let rehome_replace t rel (values : (string * Ast.literal) list) quals info =
       in
       put victims))
 
-(* Route one statement.  [cx] is the client's open distributed
+(* The cluster's session dump, replayable into one session: the scratch
+   binder's dump (it runs every DDL statement and holds no data, so it
+   prints the schema, indexes, strategy and procedures once), then every
+   node's appends in turn.  [Ast.to_string] prints an append on one line
+   that starts [append to ].  A slot that is down fails the dump rather
+   than print part of the data. *)
+let cluster_script t =
+  match scratch_exec t (Ast.Show `Script) with
+  | Error msg -> fail "%s" msg
+  | Ok schema ->
+    Metrics.incr (m t) Metrics.Cluster_stmts_broadcast;
+    let buf = Buffer.create 4096 in
+    Buffer.add_string buf schema;
+    let add_append line =
+      if String.starts_with ~prefix:"append to " line then begin
+        Buffer.add_string buf line;
+        Buffer.add_char buf '\n'
+      end
+    in
+    let rec go = function
+      | [] -> ok_out (Buffer.contents buf)
+      | i :: rest -> (
+        match call t i (Protocol.Exec_line (Ast.to_string (Ast.Show `Script))) with
+        | Ok (Protocol.Output dump) ->
+          List.iter add_append (String.split_on_char '\n' dump);
+          go rest
+        | Ok (Protocol.Failed msg) -> fail "%s" msg
+        | Ok _ -> fail "unexpected response from node %d" i
+        | Error e -> fail "%s" e)
+    in
+    go (all_nodes t)
+
+(* What a distributed transaction cannot run, refused before any node is
+   contacted: DDL, and introspection, which a node answers from its own
+   partition. *)
+let txn_refusal cmd =
+  match Ast.classify cmd with
+  | Ast.Ddl -> Some "DDL is not supported inside a distributed transaction"
+  | Ast.Introspection -> Some "not supported inside a distributed transaction"
+  | Ast.Read | Ast.Write | Ast.Session_file | Ast.Txn_control -> None
+
+(* Dispatch one statement.  [cx] is the client's open distributed
    transaction ([None] for autocommit).  It picks only the transport, in
-   [mutate] and [fetch_from]; what a transaction cannot do is refused
-   before any node is contacted. *)
-let route t cx line (cmd : Ast.command) =
+   [mutate] and [fetch_from]. *)
+let dispatch t cx line (cmd : Ast.command) =
   let in_txn = Option.is_some cx in
   let with_rel rel k =
     match Hashtbl.find_opt t.rels rel with
@@ -730,17 +773,13 @@ let route t cx line (cmd : Ast.command) =
         ~describe:what
   in
   match cmd with
-  | (Ast.Create _ | Ast.Index _ | Ast.Define_proc _ | Ast.Strategy _) when in_txn ->
-    fail "DDL is not supported inside a distributed transaction"
-  | (Ast.Explain _ | Ast.Show _ | Ast.Help | Ast.Reset_cost) when in_txn ->
-    fail "not supported inside a distributed transaction"
   | Ast.Create { rel; attrs } ->
-    route_ddl t line ~on_success:(fun () ->
+    route_ddl t line cmd ~on_success:(fun () ->
         Hashtbl.replace t.rels rel { count = 0; attrs })
   | Ast.Index _ | Ast.Strategy _ ->
-    route_ddl t line ~on_success:(fun () -> ())
+    route_ddl t line cmd ~on_success:(fun () -> ())
   | Ast.Define_proc { name; body } ->
-    route_ddl t line ~on_success:(fun () -> Hashtbl.replace t.procs name body)
+    route_ddl t line cmd ~on_success:(fun () -> Hashtbl.replace t.procs name body)
   | Ast.Append { rel; values } ->
     with_rel rel (fun info ->
         let dest =
@@ -793,6 +832,7 @@ let route t cx line (cmd : Ast.command) =
       (* a single-relation proc is served by every node's own manager, so
          the paper's strategies (and their caches) do the work *)
       retrieve_tuples t cx line body ~suffix:(Some (Interp.strategy_name t.scratch)))
+  | Ast.Show `Script -> cluster_script t
   | Ast.Explain _ | Ast.Show _ | Ast.Help -> (
     (* node 0's local view stands in for the cluster *)
     Metrics.incr (m t) Metrics.Cluster_stmts_routed;
@@ -815,11 +855,18 @@ let route t cx line (cmd : Ast.command) =
         | Error e -> fail "%s" e)
     in
     go (all_nodes t)
-  | Ast.Save _ -> fail "save is not supported on a cluster"
+  | Ast.Save _ -> fail "%s" Node.save_refused
   | Ast.Begin | Ast.Commit | Ast.Abort ->
     (* handled by [exec_client] before routing; reaching here means a
        caller bypassed the transaction layer *)
     fail "internal: transaction control escaped the 2PC layer"
+
+(* Route one statement: what a transaction cannot do is refused before
+   any node is contacted, everything else is dispatched. *)
+let route t cx line cmd =
+  match Option.bind cx (fun _ -> txn_refusal cmd) with
+  | Some msg -> fail "%s" msg
+  | None -> dispatch t cx line cmd
 
 (* ------------------------------------------ distributed transactions *)
 
@@ -1143,35 +1190,13 @@ let snapshot t =
 
 (* --------------------------------------------------- in-process cluster *)
 
+(* An in-process link answers through the node's one handler as client
+   0.  Its caller cannot wait, so a park answers [Blocked]. *)
 let node_link node =
   let dead = ref false in
   let link req =
     if !dead then Error "node killed"
-    else
-      Ok
-        (match req with
-        | Protocol.Ping -> Protocol.Pong
-        | Protocol.Exec_line line -> (
-          match Node.exec_line node ~client:0 line with
-          | Dbproc_lang.Interp.O_ok out -> Protocol.Output out
-          | Dbproc_lang.Interp.O_error msg -> Protocol.Failed msg
-          | Dbproc_lang.Interp.O_aborted msg -> Protocol.Aborted msg
-          | Dbproc_lang.Interp.O_blocked blockers ->
-            Protocol.Blocked
-              (String.concat " " (Node.blocker_gtids node blockers)))
-        | Protocol.Exec_script s -> (
-          match Node.exec_script node s with
-          | Ok out -> Protocol.Output out
-          | Error msg -> Protocol.Failed msg)
-        | Protocol.Stats ->
-          Protocol.Output (Export.to_string (Export.snapshot (Node.ctx node)))
-        | Protocol.Shutdown -> Protocol.Output "draining"
-        | Protocol.Begin | Protocol.Commit | Protocol.Abort ->
-          Protocol.Failed "transactions are not supported on a cluster node"
-        | other -> (
-          match Node.handle node other with
-          | Some resp -> resp
-          | None -> Protocol.Failed "unhandled request"))
+    else match Node.handle node ~client:0 req with `Resp resp | `Park resp -> Ok resp
   in
   (link, fun () -> dead := true)
 

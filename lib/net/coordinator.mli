@@ -61,8 +61,13 @@
     the holder gtids aborts the youngest transaction on a cycle.
     Counted under [txn2pc.*].
 
-    [save] is refused.  Everything else is counted under [cluster.*] /
-    [repl.*] / [fault.node_kills] in the coordinator's context. *)
+    [show script] dumps the whole cluster: the schema, indexes, strategy
+    and procedures once, then every node's appends, so the dump replays
+    into one session; it fails while a slot is down.  Other
+    introspection ([explain], [show], [help]) answers from node 0.
+    [save] is refused with {!Node.save_refused}.  Everything else is
+    counted under [cluster.*] / [repl.*] / [fault.node_kills] in the
+    coordinator's context. *)
 
 type link = Protocol.request -> (Protocol.response, string) result
 
@@ -123,7 +128,6 @@ val snapshot : t -> Dbproc_obs.Ctx.t
     exports). *)
 
 val ctx : t -> Dbproc_obs.Ctx.t
-val node_count : t -> int
 val alive_count : t -> int
 val node_down : t -> int -> bool
 val sim_ms : t -> float
@@ -167,4 +171,7 @@ val local_node : local -> int -> Node.t
     state in tests. *)
 
 val node_link : Node.t -> link * (unit -> unit)
-(** Wrap a node as an in-process link plus its kill switch. *)
+(** Wrap a node as an in-process link plus its kill switch.  The link
+    answers through {!Node.handle} as client 0, the same handler a
+    forked node server uses; a statement that would park answers
+    {!Protocol.Blocked} instead. *)

@@ -1,8 +1,7 @@
 open Dbproc_obs
 module Interp = Dbproc_lang.Interp
-module Parser = Dbproc_lang.Parser
-module Lexer = Dbproc_lang.Lexer
 module Ast = Dbproc_lang.Ast
+module Stmt_cache = Dbproc_lang.Stmt_cache
 module Cost = Dbproc_storage.Cost
 module Io = Dbproc_storage.Io
 module Wal = Dbproc_storage.Wal
@@ -59,33 +58,48 @@ let recv_next_lsn t = Wal.next_lsn t.recv
 let promoted t = t.promoted
 
 (* Statements worth shipping: the ones that change what a promoted
-   replica must be able to serve.  [Exec]/[Retrieve] only read (their
-   cache side effects are rebuilt by the replica's own executions), and
-   transaction control never reaches a replication log — a statement is
-   logged only when it ran to completion outside an explicit transaction,
-   so the log never contains effects that a later [abort] undid. *)
-let replicable line =
-  match Parser.parse_command line with
-  | Ast.Create _ | Ast.Index _ | Ast.Append _ | Ast.Delete _ | Ast.Replace _
-  | Ast.Define_proc _ | Ast.Strategy _ ->
-    true
-  | _ -> false
-  | exception Parser.Parse_error _ -> false
-  | exception Lexer.Lex_error _ -> false
+   replica must be able to serve.  Reads only read (their cache side
+   effects are rebuilt by the replica's own executions), and transaction
+   control never reaches a replication log — a statement is logged only
+   when it ran to completion outside an explicit transaction, so the log
+   never contains effects that a later [abort] undid. *)
+let replicates (stmt : Stmt_cache.entry) =
+  match Ast.classify stmt.cmd with
+  | Ast.Write | Ast.Ddl -> true
+  | Ast.Read | Ast.Introspection | Ast.Session_file | Ast.Txn_control -> false
 
+let save_refused =
+  "save is not served over the network (shell --connect saves on the client)"
+
+(* Every statement that reaches a node came over the network, or off a
+   replication or decision log: a session file would be written where
+   the node runs, so it is refused. *)
+let exec_stmt t ~client (stmt : Stmt_cache.entry) =
+  match Ast.classify stmt.cmd with
+  | Ast.Session_file -> Interp.O_error save_refused
+  | Ast.Read | Ast.Write | Ast.Ddl | Ast.Introspection | Ast.Txn_control ->
+    Interp.exec_stmt t.session ~client stmt
+
+(* A line is parsed once; it is logged for the replica when it replicates
+   and committed outside an explicit transaction. *)
 let exec_line t ~client line =
-  let outcome = Interp.exec_client t.session ~client line in
-  (match outcome with
-  | Interp.O_ok _ ->
-    if (not (Interp.in_transaction t.session ~client)) && replicable line then
-      ignore (Wal.append t.rlog line)
-  | _ -> ());
-  outcome
+  match Interp.parse t.session line with
+  | Error msg -> Interp.O_error msg
+  | Ok stmt ->
+    let answer = exec_stmt t ~client stmt in
+    (match answer with
+    | Interp.O_ok _ ->
+      if replicates stmt && not (Interp.in_transaction t.session ~client) then
+        ignore (Wal.append t.rlog line)
+    | Interp.O_error _ | Interp.O_blocked _ | Interp.O_aborted _ -> ());
+    answer
 
 (* Line by line through [exec_line], so exactly the statements that
    executed are replicated: a script that fails midway has its completed
    prefix in the log, matching the node's state. *)
-let exec_script t = Interp.run_script (exec_line t ~client:0)
+let exec_script t ~client = Interp.run_script (exec_line t ~client)
+
+let control t ~client cmd = exec_stmt t ~client { Stmt_cache.cmd; prepared = None }
 
 (* Translate transaction-manager ids ([Interp.O_blocked] holders) into
    the coordinator's global transaction ids; a holder with no branch here
@@ -101,29 +115,44 @@ let blocker_gtids t blockers =
           t.txns "-1")
     blockers
 
-let blocked_response t blockers =
-  Protocol.Blocked (String.concat " " (blocker_gtids t blockers))
+(* One statement's answer as a response; [ok] renders success. *)
+let respond t ok = function
+  | Interp.O_ok v -> ok v
+  | Interp.O_error msg -> Protocol.Failed msg
+  | Interp.O_blocked blockers ->
+    Protocol.Blocked (String.concat " " (blocker_gtids t blockers))
+  | Interp.O_aborted msg -> Protocol.Aborted msg
+
+let output out = Protocol.Output out
+let tuples (tuples, ms) = Protocol.Tuples (Wire.tuples_body ~ms tuples)
+
+(* A client line that blocked only on local statements may wait ([`Park])
+   for their holders to finish.  One blocked by a distributed branch must
+   answer, not park: the holder's commit arrives on the same (single)
+   coordinator connection a park would stall. *)
+let line_answer t = function
+  | Interp.O_blocked blockers ->
+    let gtids = blocker_gtids t blockers in
+    let resp = Protocol.Blocked (String.concat " " gtids) in
+    if List.exists (fun g -> g <> "-1") gtids then `Resp resp else `Park resp
+  | answer -> `Resp (respond t output answer)
 
 (* Coordinator-side reads go through the lock-respecting fetch: while a
    distributed transaction holds locks here, a plain retrieve must not
    see its uncommitted effects.  While no transaction has ever opened on
    the session this is byte-identical to the lock-free fast path. *)
-let fetch t line =
-  match Interp.fetch_client t.session ~client:0 line with
-  | Interp.F_tuples (tuples, ms) -> Protocol.Tuples (Wire.tuples_body ~ms tuples)
-  | Interp.F_error msg -> Protocol.Failed msg
-  | Interp.F_blocked blockers -> blocked_response t blockers
-  | Interp.F_aborted msg -> Protocol.Aborted msg
+let fetch_line t line =
+  match Interp.parse t.session line with
+  | Error msg -> Interp.O_error msg
+  | Ok stmt -> Interp.fetch_stmt t.session ~client:0 stmt
+
+let fetch t line = respond t tuples (fetch_line t line)
 
 let join_probe t body =
   match Wire.parse_join_probe_body body with
   | exception Wire.Malformed msg -> Protocol.Failed ("join probe: " ^ msg)
-  | attr, stmt, keys -> (
-    match Interp.fetch_client t.session ~client:0 stmt with
-    | Interp.F_error msg -> Protocol.Failed msg
-    | Interp.F_blocked blockers -> blocked_response t blockers
-    | Interp.F_aborted msg -> Protocol.Aborted msg
-    | Interp.F_tuples (tuples, ms) ->
+  | attr, stmt, keys ->
+    let semijoin (rows, ms) =
       let set = Hashtbl.create (List.length keys * 2) in
       List.iter (fun k -> Hashtbl.replace set k ()) keys;
       let hits =
@@ -132,9 +161,11 @@ let join_probe t body =
             match Dbproc_relation.Tuple.get tuple attr with
             | v -> Hashtbl.mem set v
             | exception Invalid_argument _ -> false)
-          tuples
+          rows
       in
-      Protocol.Tuples (Wire.tuples_body ~ms hits))
+      tuples (hits, ms)
+    in
+    respond t semijoin (fetch_line t stmt)
 
 let wal_pull t body =
   match int_of_string_opt (String.trim body) with
@@ -205,10 +236,10 @@ let drop_branch t gtid branch =
   Hashtbl.remove t.txns gtid
 
 (* [Txn_exec]: run one statement under the gtid's local branch, opening
-   it lazily on first touch.  Retrieves go through the lock-respecting
-   fetch so the coordinator can merge partitions; everything else runs
-   through the ordinary client path.  Replicable statements are buffered
-   on the branch — they reach the rlog only if the branch commits. *)
+   it lazily on first touch.  Reads go through the lock-respecting fetch
+   so the coordinator can merge partitions; everything else runs through
+   the client path.  Replicable statements are buffered on the branch —
+   they reach the rlog only if the branch commits. *)
 let txn_exec t body =
   let gtid, line =
     match String.index_opt body ' ' with
@@ -226,37 +257,25 @@ let txn_exec t body =
         let client = t.next_txn_client in
         t.next_txn_client <- client + 1;
         let b = { client; stmts = [] } in
-        (match Interp.exec_client t.session ~client "begin" with
-        | Interp.O_ok _ -> ()
-        | _ -> ());
+        ignore (control t ~client Ast.Begin);
         Hashtbl.add t.txns gtid b;
         b
     in
-    let is_read =
-      match Parser.parse_command line with
-      | Ast.Retrieve _ | Ast.Exec _ -> true
-      | _ -> false
-      | exception Parser.Parse_error _ -> false
-      | exception Lexer.Lex_error _ -> false
+    let resp =
+      match Interp.parse t.session line with
+      | Error msg -> Protocol.Failed msg
+      | Ok stmt -> (
+        match Ast.classify stmt.cmd with
+        | Ast.Read -> respond t tuples (Interp.fetch_stmt t.session ~client:branch.client stmt)
+        | Ast.Write | Ast.Ddl | Ast.Introspection | Ast.Session_file | Ast.Txn_control ->
+          let answer = exec_stmt t ~client:branch.client stmt in
+          (match answer with
+          | Interp.O_ok _ -> if replicates stmt then branch.stmts <- line :: branch.stmts
+          | Interp.O_error _ | Interp.O_blocked _ | Interp.O_aborted _ -> ());
+          respond t output answer)
     in
-    if is_read then
-      match Interp.fetch_client t.session ~client:branch.client line with
-      | Interp.F_tuples (tuples, ms) -> Protocol.Tuples (Wire.tuples_body ~ms tuples)
-      | Interp.F_error msg -> Protocol.Failed msg
-      | Interp.F_blocked blockers -> blocked_response t blockers
-      | Interp.F_aborted msg ->
-        drop_branch t gtid branch;
-        Protocol.Aborted msg
-    else
-      match Interp.exec_client t.session ~client:branch.client line with
-      | Interp.O_ok out ->
-        if replicable line then branch.stmts <- line :: branch.stmts;
-        Protocol.Output out
-      | Interp.O_error msg -> Protocol.Failed msg
-      | Interp.O_blocked blockers -> blocked_response t blockers
-      | Interp.O_aborted msg ->
-        drop_branch t gtid branch;
-        Protocol.Aborted msg
+    (match resp with Protocol.Aborted _ -> drop_branch t gtid branch | _ -> ());
+    resp
   end
 
 (* Phase one: the branch votes yes iff its transaction is still live
@@ -283,7 +302,7 @@ let txn_commit t gtid =
   match Hashtbl.find_opt t.txns gtid with
   | None -> Protocol.Failed "commit: unknown transaction"
   | Some branch -> (
-    match Interp.exec_client t.session ~client:branch.client "commit" with
+    match control t ~client:branch.client Ast.Commit with
     | Interp.O_ok out ->
       ignore (Wal.append t.dlog ("commit " ^ gtid));
       List.iter (fun line -> ignore (Wal.append t.rlog line)) (List.rev branch.stmts);
@@ -305,20 +324,30 @@ let txn_abort t gtid =
     drop_branch t gtid branch;
     Protocol.Output "aborted"
 
-let handle t (req : Protocol.request) : Protocol.response option =
+let handle t ~client (req : Protocol.request) =
+  let resp r = `Resp r in
   match req with
-  | Protocol.Fetch line -> Some (fetch t line)
-  | Protocol.Join_probe body -> Some (join_probe t body)
-  | Protocol.Wal_pull body -> Some (wal_pull t body)
-  | Protocol.Wal_push body -> Some (wal_push t body)
-  | Protocol.Promote -> Some (promote t)
-  | Protocol.Txn_exec body -> Some (txn_exec t body)
-  | Protocol.Txn_prepare gtid -> Some (txn_prepare t (String.trim gtid))
-  | Protocol.Txn_commit gtid -> Some (txn_commit t (String.trim gtid))
-  | Protocol.Txn_abort gtid -> Some (txn_abort t (String.trim gtid))
-  | Protocol.Ping | Protocol.Exec_line _ | Protocol.Exec_script _ | Protocol.Stats
-  | Protocol.Shutdown | Protocol.Begin | Protocol.Commit | Protocol.Abort ->
-    None
+  | Protocol.Ping -> resp Protocol.Pong
+  | Protocol.Exec_line l -> line_answer t (exec_line t ~client l)
+  | Protocol.Begin -> line_answer t (control t ~client Ast.Begin)
+  | Protocol.Commit -> line_answer t (control t ~client Ast.Commit)
+  | Protocol.Abort -> line_answer t (control t ~client Ast.Abort)
+  | Protocol.Exec_script s ->
+    resp
+      (match exec_script t ~client s with
+      | Ok out -> Protocol.Output out
+      | Error msg -> Protocol.Failed msg)
+  | Protocol.Stats -> resp (Protocol.Output (Export.to_string (Export.snapshot t.ctx)))
+  | Protocol.Shutdown -> resp (Protocol.Failed "shutdown is served by the event loop")
+  | Protocol.Fetch l -> resp (fetch t l)
+  | Protocol.Join_probe body -> resp (join_probe t body)
+  | Protocol.Wal_pull body -> resp (wal_pull t body)
+  | Protocol.Wal_push body -> resp (wal_push t body)
+  | Protocol.Promote -> resp (promote t)
+  | Protocol.Txn_exec body -> resp (txn_exec t body)
+  | Protocol.Txn_prepare gtid -> resp (txn_prepare t (String.trim gtid))
+  | Protocol.Txn_commit gtid -> resp (txn_commit t (String.trim gtid))
+  | Protocol.Txn_abort gtid -> resp (txn_abort t (String.trim gtid))
 
 let disconnect t ~client = ignore (Interp.abort_client t.session ~client)
 let sim_ms t = Interp.simulated_ms t.session

@@ -5,7 +5,7 @@
     one), and what an in-process cluster drives directly.  It plays both
     replication roles:
 
-    - {b primary}: every replicable statement that executes successfully
+    - {b primary}: every write or DDL statement that executes successfully
       outside an explicit transaction is appended, as statement text, to
       the node's replication log (a {!Dbproc_storage.Wal.t} of 100-byte
       records charged to the node's own context).  A coordinator pulls
@@ -42,24 +42,25 @@ val create : ?ctx:Dbproc_obs.Ctx.t -> ?plan_cache:bool -> unit -> t
 val session : t -> Dbproc_lang.Interp.t
 val ctx : t -> Dbproc_obs.Ctx.t
 
-val exec_line : t -> client:int -> string -> Dbproc_lang.Interp.outcome
-(** {!Dbproc_lang.Interp.exec_client}, plus primary-side replication
-    logging on success. *)
+val handle :
+  t ->
+  client:int ->
+  Protocol.request ->
+  [ `Resp of Protocol.response | `Park of Protocol.response ]
+(** The node's one request handler, total over the protocol: client
+    lines, scripts and transaction control for [client], [Stats] from the
+    node's context, and every coordinator-facing tag.  A forked node
+    server and an in-process link both answer through it.  [`Park resp]
+    means a client line blocked on local statements only: a caller that
+    can retry it later parks it, one that cannot answers [resp] (a
+    {!Protocol.Blocked}).  A line blocked by a distributed branch answers
+    {!Protocol.Blocked} at once — the holder's commit arrives on the same
+    coordinator connection a park would stall.  [save] is refused on
+    every path, with {!save_refused}. *)
 
-val exec_script : t -> string -> (string, string) result
-(** {!Dbproc_lang.Interp.run_script} over {!exec_line}, so exactly the
-    executed prefix is replicated. *)
-
-val handle : t -> Protocol.request -> Protocol.response option
-(** Serve a coordinator-facing request ([Fetch] / [Join_probe] /
-    [Wal_pull] / [Wal_push] / [Promote] / [Txn_exec] / [Txn_prepare] /
-    [Txn_commit] / [Txn_abort]); [None] for the core tags, which belong
-    to the server loop / {!exec_line} paths. *)
-
-val blocker_gtids : t -> int list -> string list
-(** Translate {!Dbproc_lang.Interp.O_blocked} holder ids into global
-    transaction ids, ["-1"] for holders with no distributed branch on
-    this node (a parked local autocommit statement). *)
+val save_refused : string
+(** The one refusal of session-file I/O over the network; a cluster
+    coordinator answers [save] with it too. *)
 
 val disconnect : t -> client:int -> unit
 (** Abort the client's open transaction, if any. *)
@@ -74,8 +75,3 @@ val recv_next_lsn : t -> int
 (** Next received-log LSN — how far this replica has been shipped. *)
 
 val promoted : t -> bool
-
-val replicable : string -> bool
-(** Whether a statement line would be replicated ([create] / [index] /
-    [append] / [delete] / [replace] / [define proc] / [strategy]).
-    Unparseable lines are not. *)

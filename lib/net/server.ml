@@ -70,43 +70,17 @@ type backend = {
 
 (* The default backend: one {!Node.t} per shard — an interpreter session
    plus the replication machinery, so any node server can act as a
-   cluster primary or replica with no extra configuration. *)
+   cluster primary or replica with no extra configuration.  The node
+   answers every request; a statement that blocked on local contention
+   parks. *)
 let node_backend ~plan_cache ctx =
   let node = Node.create ~ctx ~plan_cache () in
-  let line ~client l =
-    match Node.exec_line node ~client l with
-    | Dbproc_lang.Interp.O_ok out -> `Resp (Protocol.Output out)
-    | Dbproc_lang.Interp.O_error msg -> `Resp (Protocol.Failed msg)
-    | Dbproc_lang.Interp.O_aborted msg -> `Resp (Protocol.Aborted msg)
-    | Dbproc_lang.Interp.O_blocked blockers ->
-      (* A statement blocked by a distributed branch must answer, not
-         park: the lock holder's commit arrives on the same (single)
-         coordinator connection a park would stall.  Local contention
-         keeps the parking contract. *)
-      let gtids = Node.blocker_gtids node blockers in
-      if List.exists (fun g -> g <> "-1") gtids then
-        `Resp (Protocol.Blocked (String.concat " " gtids))
-      else `Park
-  in
-  let b_request ~client (req : Protocol.request) =
-    match req with
-    | Protocol.Ping -> `Resp Protocol.Pong
-    | Protocol.Exec_line l -> line ~client l
-    (* transaction control rides the same per-client line path *)
-    | Protocol.Begin -> line ~client "begin"
-    | Protocol.Commit -> line ~client "commit"
-    | Protocol.Abort -> line ~client "abort"
-    | Protocol.Exec_script s -> (
-      match Node.exec_script node s with
-      | Ok out -> `Resp (Protocol.Output out)
-      | Error msg -> `Resp (Protocol.Failed msg))
-    | req -> (
-      match Node.handle node req with
-      | Some resp -> `Resp resp
-      | None -> `Resp (Protocol.Failed "request not handled by this backend"))
-  in
   {
-    b_request;
+    b_request =
+      (fun ~client req ->
+        match Node.handle node ~client req with
+        | `Resp resp -> `Resp resp
+        | `Park _ -> `Park);
     b_disconnect = (fun ~client -> Node.disconnect node ~client);
     b_snapshot =
       (fun () ->
@@ -216,9 +190,7 @@ type t = {
   completions : completion Chan.t;
 }
 
-let config t = t.config
 let port t = t.bound_port
-let ctx t = t.sctx
 
 let resolve host port =
   match

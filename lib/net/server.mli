@@ -69,8 +69,8 @@ type backend = {
           the [net.request.sim_ms] histogram. *)
 }
 (** What a shard domain hosts.  The default backend wraps a {!Node.t}
-    (interpreter session + replication machinery); a cluster coordinator
-    front-end plugs in its own. *)
+    (interpreter session + replication machinery) and answers through
+    {!Node.handle}; a cluster coordinator front-end plugs in its own. *)
 
 val node_backend : plan_cache:bool -> Dbproc_obs.Ctx.t -> backend
 (** The default backend factory, exposed so wrappers can delegate. *)
@@ -83,15 +83,8 @@ val create : ?config:config -> ?backend:(Dbproc_obs.Ctx.t -> backend) -> unit ->
     (default: {!node_backend} with the config's [plan_cache]).  Raises
     [Unix.Unix_error] if the address is unavailable. *)
 
-val config : t -> config
-
 val port : t -> int
 (** The bound port (useful with [port = 0]). *)
-
-val ctx : t -> Dbproc_obs.Ctx.t
-(** The event loop's context holding the [net.*] counters.  Owned by the
-    loop while {!run} is executing — read it before [run] or after [run]
-    returns, or through a {!Protocol.Stats} request while serving. *)
 
 val run : t -> unit
 (** Serve until {!shutdown} is called or a {!Protocol.Shutdown} request

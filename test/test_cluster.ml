@@ -139,17 +139,16 @@ let test_kill_without_replica_downs_slot () =
   let r = Coordinator.exec c "retrieve (R.all)" in
   Alcotest.(check bool) "broadcast reports the hole" false r.Coordinator.ok
 
-let exec_ok node line =
-  match Node.exec_line node ~client:0 line with
-  | Lang.Interp.O_ok out -> out
-  | Lang.Interp.O_error msg | Lang.Interp.O_aborted msg ->
-    Alcotest.failf "%S failed: %s" line msg
-  | Lang.Interp.O_blocked _ -> Alcotest.failf "%S blocked" line
-
 let handle_exn node req =
-  match Node.handle node req with
-  | Some resp -> resp
-  | None -> Alcotest.fail "request not handled"
+  match Node.handle node ~client:0 req with
+  | `Resp resp -> resp
+  | `Park _ -> Alcotest.fail "request parked"
+
+let exec_ok node line =
+  match handle_exn node (P.Exec_line line) with
+  | P.Output out -> out
+  | P.Failed msg | P.Aborted msg -> Alcotest.failf "%S failed: %s" line msg
+  | _ -> Alcotest.failf "%S: unexpected response" line
 
 let test_wal_push_idempotent_and_gapless () =
   let a = Node.create () in
@@ -213,6 +212,52 @@ let test_semijoin_vs_broadcast () =
   List.iter (check_stmt c single) eq_setup;
   check_stmt c single "retrieve (A.x, B.y) where A.k = B.k";
   Alcotest.(check int) "equal sides: broadcast" 1 (mget c Metrics.Cluster_joins_broadcast)
+
+let test_show_script_dumps_every_node () =
+  (* The cluster's dump replays into one session that answers like the
+     single session fed the same statements: rows from every partition,
+     integral floats and UTF-8 strings included. *)
+  let local = Coordinator.create_local ~nodes:3 () in
+  let c = Coordinator.coordinator local in
+  let single = Lang.Interp.create () in
+  List.iter (check_stmt c single)
+    ([
+       "create R (k = int, x = float, s = string)";
+       "create S (k = int, w = int)";
+       "index R btree on x";
+       "strategy rvm";
+       "define proc P as retrieve (R.all, S.w) where R.k = S.k and R.x >= 3.0";
+     ]
+    @ List.map
+        (fun (k, x, s) ->
+          Printf.sprintf "append to R (k = %d, x = %s, s = %S)" k x s)
+        [ (10, "3.0", "café"); (500000, "0.5", "naïve"); (900000, "7.0", "plain") ]
+    @ List.map
+        (fun k -> Printf.sprintf "append to S (k = %d, w = %d)" k (k / 10))
+        [ 10; 500000; 900000; 42 ]);
+  let dump = Coordinator.exec c "show script" in
+  Alcotest.(check bool) "dump succeeds" true dump.Coordinator.ok;
+  let replay = Lang.Interp.create () in
+  (match Lang.Interp.exec_script replay dump.Coordinator.output with
+  | Ok _ -> ()
+  | Error msg -> Alcotest.failf "replaying the cluster dump: %s" msg);
+  let digest session line =
+    match Lang.Interp.fetch session line with
+    | Ok (tuples, _) -> Wire.digest_tuples tuples
+    | Error msg -> Alcotest.failf "%S failed: %s" line msg
+  in
+  List.iter
+    (fun line ->
+      Alcotest.(check string) line (digest single line) (digest replay line))
+    [ "retrieve (R.all)"; "retrieve (S.all)"; "exec P" ];
+  (* a down slot fails the dump rather than print part of the data *)
+  let local = Coordinator.create_local ~replicas:false ~nodes:3 () in
+  let c = Coordinator.coordinator local in
+  ignore (Coordinator.exec c "create R (k = int)");
+  Coordinator.kill_node c 1;
+  let r = Coordinator.exec c "show script" in
+  Alcotest.(check bool) "down slot fails the dump" false r.Coordinator.ok;
+  Alcotest.(check string) "names the slot" "node 1 is down" r.Coordinator.output
 
 let test_replace_rehomes_partition_key () =
   (* assigning the partition attribute moves tuples between nodes; the
@@ -484,6 +529,28 @@ let test_txn_refusals_leave_txn_open () =
   check_stmt c single "retrieve (R.all)";
   Alcotest.(check int) "one commit" 1 (mget c Metrics.Txn2pc_commits);
   Alcotest.(check int) "no abort" 0 (mget c Metrics.Txn2pc_aborts)
+
+let test_script_runs_as_its_client () =
+  (* The front end runs a script on behalf of the connection that sent
+     it: another connection's transaction neither takes its statements
+     in nor rolls them back. *)
+  let links =
+    Array.init 2 (fun _ -> (fst (Coordinator.node_link (Node.create ())), None))
+  in
+  let b = Net.Cluster.coordinator_backend ~links:(fun () -> links) () (Obs.Ctx.create ()) in
+  let call client req =
+    match b.Net.Server.b_request ~client req with
+    | `Resp (P.Output out) -> out
+    | `Resp resp -> Alcotest.failf "tag 0x%02x" (P.response_tag resp)
+    | `Park -> Alcotest.fail "parked"
+  in
+  ignore (call 0 (P.Exec_line "create T (k = int, v = int)"));
+  ignore (call 0 P.Begin);
+  ignore (call 1 (P.Exec_script "append to T (k = 1, v = 10)"));
+  ignore (call 0 P.Abort);
+  let out = call 1 (P.Exec_line "retrieve (T.all)") in
+  Alcotest.(check bool) "the script's append survives the other abort" true
+    (List.mem "(1 tuples)" (String.split_on_char '\n' out))
 
 let test_commit_durable_only_once_shipped () =
   (* Regression: node 1's primary dies right after answering its
@@ -811,6 +878,8 @@ let () =
           Alcotest.test_case "re-home keeps literals" `Quick test_rehome_literals;
           Alcotest.test_case "replace re-homes the partition key" `Quick
             test_replace_rehomes_partition_key;
+          Alcotest.test_case "show script dumps every node" `Quick
+            test_show_script_dumps_every_node;
         ] );
       ( "replication",
         [
@@ -855,6 +924,8 @@ let () =
             test_txn_refusals_leave_txn_open;
           Alcotest.test_case "participant durable only once its commit shipped" `Quick
             test_commit_durable_only_once_shipped;
+          Alcotest.test_case "a script runs as its client" `Quick
+            test_script_runs_as_its_client;
           QCheck_alcotest.to_alcotest test_txn_interleaving_differential;
         ] );
       ("stats", [ Alcotest.test_case "merged cluster view" `Quick test_stats_merge ]);

@@ -368,8 +368,12 @@ let test_interp_save_file () =
   let out = ok (Interp.exec_line s (Printf.sprintf "save %S" file)) in
   Alcotest.(check bool) "reports save" true (contains out "saved session");
   let contents = In_channel.with_open_text file In_channel.input_all in
+  (* a path that cannot be written is an error, not an escaped exception *)
+  let unwritable = Filename.concat file "x.dbp" in
+  let msg = err (Interp.exec_line s (Printf.sprintf "save %S" unwritable)) in
   Sys.remove file;
-  Alcotest.(check bool) "file holds the script" true (contains contents "create EMP")
+  Alcotest.(check bool) "file holds the script" true (contains contents "create EMP");
+  Alcotest.(check bool) "unwritable path is an error" true (contains msg unwritable)
 
 let test_interp_script_error_line () =
   let s = setup_emp_dept () in

@@ -394,6 +394,32 @@ let test_loopback_lines_match_local () =
         lines;
       Net.Client.close client)
 
+let test_save_refused_over_the_wire () =
+  (* [save] would write a file where the server runs: refused as a line
+     and inside a script, and no file appears *)
+  let dir = Filename.temp_dir "dbproc-save" "" in
+  let path = Filename.concat dir "x.dbp" in
+  let save = Printf.sprintf "save %S" path in
+  Fun.protect
+    ~finally:(fun () ->
+      if Sys.file_exists path then Sys.remove path;
+      Sys.rmdir dir)
+    (fun () ->
+      with_server (fun port ->
+          let client = Net.Client.connect ~host:"127.0.0.1" ~port () in
+          let refused what req expect =
+            match Net.Client.call client req with
+            | P.Failed msg -> Alcotest.(check string) what expect msg
+            | P.Output out -> Alcotest.failf "%s: served: %s" what out
+            | _ -> Alcotest.failf "%s: unexpected response" what
+          in
+          refused "line" (P.Exec_line save) Net.Node.save_refused;
+          refused "script"
+            (P.Exec_script ("create R (k = int)\n" ^ save))
+            ("line 2: " ^ Net.Node.save_refused);
+          Net.Client.close client);
+      Alcotest.(check bool) "no file written" false (Sys.file_exists path))
+
 let test_pipelined_pings () =
   with_server (fun port ->
       let client = Net.Client.connect ~host:"127.0.0.1" ~port () in
@@ -635,6 +661,27 @@ let test_txn_abort_restores_over_loopback () =
       Alcotest.(check string) "state restored" before (exec "retrieve (T.v) where T.k = 1");
       Net.Client.close c)
 
+let test_script_runs_as_its_connection () =
+  (* A script runs on behalf of the connection that sent it: it neither
+     joins another connection's open transaction nor is rolled back by
+     that transaction's abort. *)
+  with_server (fun port ->
+      let a = Net.Client.connect ~host:"127.0.0.1" ~port () in
+      let call c req what =
+        match Net.Client.call c req with
+        | P.Output out -> out
+        | resp -> Alcotest.failf "%s got tag 0x%02x" what (P.response_tag resp)
+      in
+      ignore (call a (P.Exec_line "create T (k = int, v = int)") "create");
+      let b = Net.Client.connect ~host:"127.0.0.1" ~port () in
+      ignore (call a P.Begin "begin");
+      ignore (call b (P.Exec_script "append to T (k = 1, v = 10)") "script");
+      ignore (call a P.Abort "abort");
+      Alcotest.(check bool) "the script's append survives the other abort" true
+        (contains (call b (P.Exec_line "retrieve (T.all)") "retrieve") "(1 tuples)");
+      Net.Client.close a;
+      Net.Client.close b)
+
 let test_loadgen_reconciles () =
   with_server ~shards:2 (fun port ->
       match
@@ -710,6 +757,8 @@ let () =
             test_loopback_script_matches_local;
           Alcotest.test_case "loopback lines = local" `Quick test_loopback_lines_match_local;
           Alcotest.test_case "pipelined pings" `Quick test_pipelined_pings;
+          Alcotest.test_case "save refused over the wire" `Quick
+            test_save_refused_over_the_wire;
           Alcotest.test_case "stats snapshot" `Quick test_stats_snapshot;
           Alcotest.test_case "malformed frame poisons connection" `Quick
             test_malformed_frame_poisons_connection;
@@ -722,6 +771,8 @@ let () =
             test_txn_deadlock_over_loopback;
           Alcotest.test_case "abort restores state over the wire" `Quick
             test_txn_abort_restores_over_loopback;
+          Alcotest.test_case "a script runs as its connection" `Quick
+            test_script_runs_as_its_connection;
         ] );
       ( "loadgen",
         [
