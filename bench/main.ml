@@ -421,127 +421,6 @@ let print_ext_faults () =
      else "ABLATION FAILED — see table");
   merged
 
-let print_ext_aggregates () =
-  print_endline "== ext-aggregates: differentially maintained aggregate procedures";
-  print_endline
-    "extension: intro feature (5).  A COUNT/SUM/MAX rollup over a P1-style selection is\n\
-     maintained per update and compared with recomputation.\n";
-  let params = Workload.Driver.default_sim_params in
-  let ctx = Obs.Ctx.create () in
-  let db = Workload.Database.build ~seed:23 ~ctx ~model:Model.Model1 params in
-  let def = List.hd db.Workload.Database.p1_defs in
-  let schema = Query.View_def.schema def in
-  let agg =
-    Avm.Aggregate_view.create ~record_bytes:100
-      ~group_by:[ Schema.index_of schema "R1.a" ]
-      ~aggs:[ Avm.Aggregate_view.Count; Avm.Aggregate_view.Sum (Schema.index_of schema "R1.sel") ]
-      def
-  in
-  let prng = Util.Prng.create 29 in
-  let charges = Storage.Cost.default_charges in
-  let maint = ref 0.0 and recompute = ref 0.0 in
-  let screen (d : Query.View_def.t) tuples =
-    List.filter (Predicate.eval d.Query.View_def.base.restriction) tuples
-  in
-  for _ = 1 to 20 do
-    let changes = Workload.Database.random_update db prng in
-    let old_new =
-      Storage.Cost.with_disabled db.Workload.Database.cost (fun () ->
-          Relation.update_batch db.Workload.Database.r1 changes)
-    in
-    let olds = List.map fst old_new and news = List.map snd old_new in
-    Storage.Cost.reset db.Workload.Database.cost;
-    Avm.Aggregate_view.apply_base_delta agg ~inserted:(screen def news)
-      ~deleted:(screen def olds);
-    maint := !maint +. Storage.Cost.total_ms charges db.Workload.Database.cost;
-    Storage.Cost.reset db.Workload.Database.cost;
-    ignore (Query.Executor.run (Query.Planner.compile def));
-    recompute := !recompute +. Storage.Cost.total_ms charges db.Workload.Database.cost
-  done;
-  Printf.printf "20 update transactions: maintain rollup %.0f ms total; recompute the\n" !maint;
-  Printf.printf "underlying selection each time instead: %.0f ms; groups kept: %d; stored\n"
-    !recompute (Avm.Aggregate_view.group_count agg);
-  Printf.printf "state matches recompute: %b\n\n" (Avm.Aggregate_view.matches_recompute agg);
-  ctx
-
-(* Drive a TREAT engine through the driver's workload shape. *)
-let run_treat ~ctx ~model ~params ~mix ~seed =
-  let db = Workload.Database.build ~seed ~ctx ~model params in
-  let treat =
-    Rete.Treat.create ~io:db.Workload.Database.io ~record_bytes:100 ()
-  in
-  let ids = List.map (Rete.Treat.add_view treat) (Workload.Database.all_defs db) in
-  let arr = Array.of_list ids in
-  let q = int_of_float params.Params.q and k = int_of_float params.Params.k in
-  let prng = Util.Prng.create (seed + 1) in
-  let ops = Array.init (q + k) (fun i -> if i < q then `Q else `U) in
-  Util.Prng.shuffle prng ops;
-  Storage.Cost.reset db.Workload.Database.cost;
-  Array.iter
-    (fun op ->
-      match op with
-      | `Q -> ignore (Rete.Treat.read treat arr.(Util.Prng.int prng (Array.length arr)))
-      | `U ->
-        let target_r2 = mix > 0.0 && Util.Prng.float prng < mix in
-        let rel, changes =
-          if target_r2 then
-            (db.Workload.Database.r2, Workload.Database.random_update_r2 db prng)
-          else (db.Workload.Database.r1, Workload.Database.random_update db prng)
-        in
-        let old_new =
-          Storage.Cost.with_disabled db.Workload.Database.cost (fun () ->
-              Relation.update_batch rel changes)
-        in
-        Rete.Treat.apply_delta treat ~rel:(Relation.name rel)
-          ~inserted:(List.map snd old_new)
-          ~deleted:(List.map fst old_new))
-    ops;
-  let ms =
-    Storage.Cost.total_ms Storage.Cost.default_charges db.Workload.Database.cost
-    /. float_of_int q
-  in
-  let ok = List.for_all (fun id -> Rete.Treat.matches_recompute treat id) ids in
-  (ms, ok)
-
-let print_ext_treat () =
-  print_endline "== ext-treat: TREAT (alpha-memories only) vs AVM and RVM (model 2)";
-  print_endline
-    "extension: TREAT (Miranker 1987) is the contemporaneous no-beta-memory alternative\n\
-     the production-system literature set against Rete.  No beta upkeep means R2 churn\n\
-     hurts less than RVM; probing selected alphas beats AVM's base-relation probes.\n";
-  let params = Workload.Driver.default_sim_params in
-  let ctx = Obs.Ctx.create () in
-  let table =
-    Util.Ascii_table.create ~header:[ "R2 fraction"; "AVM"; "TREAT"; "RVM"; "ok" ] ()
-  in
-  List.iter
-    (fun mix ->
-      let avm =
-        Workload.Driver.run_strategy ~seed:!the_seed ~r2_update_fraction:mix
-          ~model:Model.Model2 ~params Strategy.Update_cache_avm
-      in
-      let rvm =
-        Workload.Driver.run_strategy ~seed:!the_seed ~r2_update_fraction:mix
-          ~model:Model.Model2 ~params Strategy.Update_cache_rvm
-      in
-      Obs.Ctx.merge_into ~into:ctx avm.Workload.Driver.obs;
-      Obs.Ctx.merge_into ~into:ctx rvm.Workload.Driver.obs;
-      let treat_ms, treat_ok =
-        run_treat ~ctx ~model:Model.Model2 ~params ~mix ~seed:!the_seed
-      in
-      Util.Ascii_table.add_row table
-        [
-          Printf.sprintf "%.2f" mix;
-          Printf.sprintf "%.0f" avm.measured_ms_per_query;
-          Printf.sprintf "%.0f" treat_ms;
-          Printf.sprintf "%.0f" rvm.measured_ms_per_query;
-          (if treat_ok && avm.consistent && rvm.consistent then "yes" else "NO");
-        ])
-    [ 0.0; 0.5; 1.0 ];
-  Util.Ascii_table.print table;
-  print_newline ();
-  ctx
-
 let print_ext_latency () =
   print_endline "== ext-latency: access-cost distribution per strategy (P = 0.3, model 1)";
   print_endline
@@ -1442,9 +1321,8 @@ let bechamel_tests () =
              | Net.Protocol.Awaiting | Net.Protocol.Corrupt _ -> assert false));
     ]
   in
-  (* Executor engines head to head: the same prepared plan run by the
-     tuple-at-a-time interpreter and the compiled batch pipeline.  Cost
-     accounting is disabled (wall-clock of the engine itself). *)
+  (* The executor on a prepared scan and a prepared index join.  Cost
+     accounting is disabled (wall-clock of the executor itself). *)
   let exec_tests =
     let cost = Storage.Cost.create () in
     Storage.Cost.disable cost;
@@ -1476,11 +1354,8 @@ let bechamel_tests () =
               ~rel:s ~restriction:Predicate.always_true ~left:"R.v" ~op:Predicate.Eq
               ~right:"b"))
     in
-    let engine_test name engine prepared =
-      Test.make ~name
-        (Staged.stage (fun () ->
-             Query.Executor.set_engine engine;
-             ignore (Query.Executor.run_prepared prepared)))
+    let exec_test name prepared =
+      Test.make ~name (Staged.stage (fun () -> ignore (Query.Executor.run_prepared prepared)))
     in
     (* Statement-replay throughput: the same retrieve line through a
        session with and without the statement cache (parse + bind + plan
@@ -1507,10 +1382,8 @@ let bechamel_tests () =
              | Error msg -> failwith msg))
     in
     [
-      engine_test "micro-exec-scan-interp" Query.Executor.Tuple_interp scan_plan;
-      engine_test "micro-exec-scan-compiled" Query.Executor.Batch_compiled scan_plan;
-      engine_test "micro-exec-join-interp" Query.Executor.Tuple_interp join_plan;
-      engine_test "micro-exec-join-compiled" Query.Executor.Batch_compiled join_plan;
+      exec_test "micro-exec-scan-compiled" scan_plan;
+      exec_test "micro-exec-join-compiled" join_plan;
       stmt_test "micro-stmt-cache-on" true;
       stmt_test "micro-stmt-cache-off" false;
     ]
@@ -1634,7 +1507,6 @@ let engine =
     recorded "ext-update-mix" print_ext_update_mix;
     recorded "ext-wal" print_ext_wal;
     recorded "ext-faults" print_ext_faults;
-    recorded "ext-aggregates" print_ext_aggregates;
     recorded "ext-adaptive" print_ext_adaptive;
     recorded "ext-winregion" print_ext_winregion;
     recorded "ext-evict" print_ext_evict;
@@ -1644,7 +1516,6 @@ let engine =
     recorded "ext-nway" print_ext_nway;
     recorded "ext-sensitivity" print_ext_sensitivity;
     recorded "ext-latency" print_ext_latency;
-    recorded "ext-treat" print_ext_treat;
   ]
 
 (* ----------------------------------------------------------------- Main *)

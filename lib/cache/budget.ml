@@ -161,15 +161,8 @@ let release t id =
   let e = find t id in
   if e.e_resident then evict t e
 
-let unregister t id =
-  release t id;
-  Hashtbl.remove t.entries id
-
 let policy t = t.policy
 let budget_pages t = t.budget
 let used_pages t = t.used
 let max_used_pages t = t.max_used
 let evictions t = t.evicted
-
-let resident_entries t =
-  Hashtbl.fold (fun _ e acc -> if e.e_resident then acc + 1 else acc) t.entries 0

@@ -80,9 +80,6 @@ val release : t -> entry_id -> unit
 (** Voluntarily give up residency (strategy migration, recovery).
     Charged and counted like an eviction; no-op if not resident. *)
 
-val unregister : t -> entry_id -> unit
-(** {!release} and forget the entry entirely. *)
-
 val policy : t -> Policy.t
 val budget_pages : t -> int option
 val used_pages : t -> int
@@ -91,4 +88,3 @@ val max_used_pages : t -> int
     budget. *)
 
 val evictions : t -> int
-val resident_entries : t -> int

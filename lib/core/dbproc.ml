@@ -83,7 +83,6 @@ end
 
 module Avm = struct
   module Materialized_view = Dbproc_avm.Materialized_view
-  module Aggregate_view = Dbproc_avm.Aggregate_view
 end
 
 module Rete = struct
@@ -91,7 +90,6 @@ module Rete = struct
   module Network = Dbproc_rete.Network
   module Builder = Dbproc_rete.Builder
   module Optimizer = Dbproc_rete.Optimizer
-  module Treat = Dbproc_rete.Treat
 end
 
 module Fault = struct

@@ -90,7 +90,6 @@ end
 
 module Avm : sig
   module Materialized_view = Dbproc_avm.Materialized_view
-  module Aggregate_view = Dbproc_avm.Aggregate_view
 end
 
 module Rete : sig
@@ -98,7 +97,6 @@ module Rete : sig
   module Network = Dbproc_rete.Network
   module Builder = Dbproc_rete.Builder
   module Optimizer = Dbproc_rete.Optimizer
-  module Treat = Dbproc_rete.Treat
 end
 
 module Fault : sig

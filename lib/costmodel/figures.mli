@@ -38,11 +38,6 @@ val find : string -> t option
 val render : t -> string
 (** Title, expectation, data table and (for series) an ASCII plot. *)
 
-val p_sweep : float list
-(** The update-probability grid used by the cost-vs-P figures. *)
-
-val sf_sweep : float list
-
 val crossover_sf : Model.which -> Params.t -> float option
 (** Smallest SF (on a fine grid) where RVM becomes no more expensive than
     AVM — the paper reports ≈ 0.47 for model 2. *)

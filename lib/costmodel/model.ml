@@ -276,10 +276,5 @@ let per_procedure which (p : t) ~p_hat ~f_hat ~p2 strategy =
     cost which priced strategy +. (updates_per_query priced *. writeback)
   | _ -> cost which priced strategy
 
-let tot_recompute which p = cost which p Strategy.Always_recompute
-let tot_cache_inval which p = cost which p Strategy.Cache_invalidate
-let tot_update_cache_avm which p = cost which p Strategy.Update_cache_avm
-let tot_update_cache_rvm which p = cost which p Strategy.Update_cache_rvm
-let tot_update_cache_hoivm which p = cost which p Strategy.Update_cache_hoivm
 let c_query_p2 = c_query_p2
 let c_process_query = c_process_query

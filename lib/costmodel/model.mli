@@ -31,14 +31,6 @@ val breakdown : which -> Params.t -> Strategy.t -> (string * float) list
 (** Named cost components summing to {!cost} (query-time terms are listed
     as-is; per-update terms are already scaled by k/q). *)
 
-(** {2 Individual totals} (conveniences over {!cost}) *)
-
-val tot_recompute : which -> Params.t -> float
-val tot_cache_inval : which -> Params.t -> float
-val tot_update_cache_avm : which -> Params.t -> float
-val tot_update_cache_rvm : which -> Params.t -> float
-val tot_update_cache_hoivm : which -> Params.t -> float
-
 (** {2 Intermediate quantities} (exposed for tests against hand-computed
     values) *)
 

@@ -17,15 +17,8 @@ val best : Model.which -> Params.t -> Strategy.t
 val paper_strategies : Strategy.t list
 (** {!Strategy.all} minus HOIVM — the four the paper analyzes. *)
 
-val best_paper : Model.which -> Params.t -> Strategy.t
-(** Cheapest of the paper's four strategies (HOIVM excluded). *)
-
 val best_class : Model.which -> Params.t -> winner_class
 (** Paper classification: never returns [HO]. *)
-
-val best_class_extended : Model.which -> Params.t -> winner_class
-(** [best_class], except [HO] when HOIVM undercuts every paper
-    strategy. *)
 
 val best_update_cache : Model.which -> Params.t -> Strategy.t
 (** The cheaper Update Cache variant (AVM or RVM). *)
@@ -39,5 +32,5 @@ val classify_at : Model.which -> Params.t -> f:float -> p:float -> winner_class
     — one cell of a region map. *)
 
 val classify_at_extended : Model.which -> Params.t -> f:float -> p:float -> winner_class
-(** {!best_class_extended} at an overridden (f, P) — one cell of the
-    extended (five-strategy) region map. *)
+(** {!classify_at}, except [HO] when HOIVM undercuts every paper
+    strategy — one cell of the extended (five-strategy) region map. *)

@@ -127,8 +127,6 @@ let note_2pc ?metrics t ~(phase : txn_phase) =
     | None -> ());
     Some k.tk_node
 
-let commit_rounds t = t.commit_rounds
-
 let backoff_ms config ~attempt =
   Float.min config.backoff_cap_ms
     (config.backoff_base_ms *. Float.of_int (1 lsl min attempt 30))

@@ -127,6 +127,3 @@ val note_2pc :
   ?metrics:Dbproc_obs.Metrics.t -> t -> phase:txn_phase -> int option
 (** Note a 2PC phase entry; [Some node] when a scheduled kill fires
     (counted as ["fault.node_kills"] in [metrics] when given). *)
-
-val commit_rounds : t -> int
-(** Distributed commit rounds entered so far. *)

@@ -201,8 +201,6 @@ let create ?name ?(heavy_threshold = 4) ?(flush_threshold = 32) ~record_bytes
 let name t = t.name
 let def t = t.def
 let plan t = t.levels.(t.n - 1).nd_plan
-let ho_view_count t = (2 * t.n) - 1
-let heavy_key_count t = Tuple_tbl.length t.heavy
 
 let page_count t =
   let total = ref 0 in

@@ -72,12 +72,6 @@ val page_count : t -> int
 (** Pages across {e all} materialized views — the footprint the cache
     budget accounts for. *)
 
-val ho_view_count : t -> int
-(** Number of derived views materialized (α-memories + join prefixes,
-    including the top). *)
-
-val heavy_key_count : t -> int
-
 val read : t -> Tuple.t list
 (** Serve the procedure: drain the cold buffer, apply every store's
     pending net delta ({!Dbproc_storage.Heap_file.apply_batch} — each

@@ -49,7 +49,6 @@ let create ~io ~entry_bytes ~compare () =
   t
 
 let entry_count t = t.entry_count
-let node_count t = t.node_count
 let height t = t.height
 let capacity t = t.cap
 

@@ -25,7 +25,6 @@ val create :
     capacity is [Io.page_bytes io / entry_bytes] (at least 4). *)
 
 val entry_count : _ t -> int
-val node_count : _ t -> int
 
 val height : _ t -> int
 (** Number of levels; 1 for a tree that is a single leaf. *)

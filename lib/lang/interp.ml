@@ -10,11 +10,10 @@ exception Runtime_error of string
 let error fmt = Format.kasprintf (fun s -> raise (Runtime_error s)) fmt
 
 (* Per-client transaction state.  [implicit] marks an autocommit
-   transaction opened for a single statement (it survives parking — its
-   granted locks must be held across retries — and commits as soon as the
-   statement executes).  [doomed] is set when another client's deadlock
-   resolution aborted this client's transaction; the client learns on its
-   next statement. *)
+   transaction opened for a single statement: it commits as soon as the
+   statement executes, and ends without effect if the statement parks.
+   [doomed] is set when another client's deadlock resolution aborted this
+   client's transaction; the client learns on its next statement. *)
 type client_state = {
   mutable txn : Tm.id option;
   mutable implicit : bool;
@@ -766,15 +765,23 @@ let run_stmt t ~client (stmt : Stmt_cache.entry) body =
           match cs.txn with
           | Some id -> id
           | None ->
-            (* autocommit: a single-statement transaction.  It must persist
-               across parking — locks granted before the block are held. *)
+            (* autocommit: a single-statement transaction *)
             let id = Tm.begin_ l.tm in
             cs.txn <- Some id;
             cs.implicit <- true;
             id
         in
         match acquire_locks l cs id locks with
-        | `Parked blockers -> O_blocked blockers
+        | `Parked blockers ->
+          (* A parked autocommit statement has executed nothing: abort its
+             transaction, releasing what it was granted, so a caller that
+             never retries leaves nothing open.  A retry begins afresh. *)
+          if cs.implicit then begin
+            ignore (Tm.abort l.tm id);
+            cs.txn <- None;
+            cs.implicit <- false
+          end;
+          O_blocked blockers
         | `Self_aborted -> O_aborted "deadlock: transaction aborted (victim)"
         | `Go ->
           let implicit = cs.implicit in

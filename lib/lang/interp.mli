@@ -55,7 +55,9 @@ val simulated_ms : t -> float
     Statements acquire all their locks {e before} executing anything, so
     a blocked statement has no effects and is simply retried verbatim
     when a lock holder finishes — that is what lets the server park
-    blocked requests instead of stalling a shard. *)
+    blocked requests instead of stalling a shard.  A blocked autocommit
+    statement's transaction is aborted at once, releasing the locks it
+    was granted, so a caller that never retries leaves none held. *)
 
 type 'a answer =
   | O_ok of 'a  (** executed; the body's value *)
@@ -102,8 +104,10 @@ val exec_client : t -> client:int -> string -> outcome
 (** {!parse}, then {!exec_stmt}; {!exec_line} is [exec_client ~client:0]. *)
 
 val in_transaction : t -> client:int -> bool
-(** Whether the client currently has a transaction open (explicit, or an
-    implicit one parked mid-acquisition). *)
+(** Whether the client has an explicit transaction open.  An autocommit
+    statement's implicit transaction never outlives its call: it commits
+    when the statement runs and aborts, having executed nothing, when the
+    statement parks. *)
 
 val abort_client : t -> client:int -> bool
 (** Disconnect cleanup: abort and roll back the client's open

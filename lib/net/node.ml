@@ -103,7 +103,7 @@ let control t ~client cmd = exec_stmt t ~client { Stmt_cache.cmd; prepared = Non
 
 (* Translate transaction-manager ids ([Interp.O_blocked] holders) into
    the coordinator's global transaction ids; a holder with no branch here
-   (a local autocommit statement parked mid-acquisition) maps to "-1". *)
+   (a transaction a client opened on this node directly) maps to "-1". *)
 let blocker_gtids t blockers =
   List.map
     (fun tm_id ->

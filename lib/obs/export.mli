@@ -35,8 +35,6 @@ val snapshot : ?extra:(string * json) list -> Ctx.t -> json
     [extra] fields come first; histograms are sorted by name, so a merged
     context snapshots identically regardless of merge order. *)
 
-val histogram_json : Histogram.t -> json
-
 (** {2 CSV} *)
 
 val counters_csv : Metrics.t -> string

@@ -32,7 +32,6 @@ val create : ?capacity:int -> unit -> t
     capacity (default 64). *)
 
 val set_clock : t -> (unit -> float) -> unit
-val now_ms : t -> float
 
 val enabled : t -> bool
 

@@ -53,7 +53,6 @@ let create ~io ~scheme ~procs =
   }
 
 let scheme t = t.scheme
-let proc_count t = t.procs
 
 (* Growing the table is pure metadata: new procedures start valid on every
    medium (a fresh cache is written before its first validity transition),

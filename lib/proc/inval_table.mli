@@ -33,7 +33,6 @@ val create : io:Dbproc_storage.Io.t -> scheme:scheme -> procs:int -> t
     with {!ensure_capacity} as procedures register. *)
 
 val scheme : t -> scheme
-val proc_count : t -> int
 
 val ensure_capacity : t -> int -> unit
 (** [ensure_capacity t n] grows the table to cover procedure ids below

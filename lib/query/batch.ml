@@ -24,10 +24,6 @@ let arity b = b.arity
 let unsafe_of_rows_n ~arity rows n =
   if n = 0 then empty ~arity else { arity; n; rows; cols = None }
 
-let of_rows ~arity rows n =
-  if n = 0 then empty ~arity
-  else { arity; n; rows = Array.sub rows 0 n; cols = None }
-
 let unsafe_of_rows ~arity rows = unsafe_of_rows_n ~arity rows (Array.length rows)
 
 let of_tuples ~arity tuples =

@@ -11,9 +11,7 @@
 
     Batches carry no cost accounting of their own — the compiled
     pipeline ({!Compiled}) charges pages and screens in bulk with
-    exactly the counts the tuple-at-a-time interpreter charges, which is
-    what keeps the simulated-cost output byte-identical between the two
-    engines. *)
+    exactly the counts the tuple-at-a-time interpreter charges. *)
 
 open Dbproc_relation
 
@@ -27,13 +25,9 @@ val col : t -> int -> Value.t array
 (** The flat column for one attribute position, materialized on first
     access and cached.  Shared, not copied: callers must not mutate it. *)
 
-val of_rows : arity:int -> Tuple.t array -> int -> t
-(** [of_rows ~arity rows n] batches the first [n] tuples of [rows],
-    copying the row pointers ([rows] may be a reused scan buffer). *)
-
 val unsafe_of_rows : arity:int -> Tuple.t array -> t
-(** Like {!of_rows} over the whole array but taking ownership: the
-    caller must not mutate the array afterwards. *)
+(** Batch every tuple of the array, taking ownership: the caller must
+    not mutate the array afterwards. *)
 
 val unsafe_of_rows_n : arity:int -> Tuple.t array -> int -> t
 (** [unsafe_of_rows_n ~arity rows n] takes ownership of [rows] and

@@ -6,8 +6,8 @@ let batch_size = 1024
 
 (* Bulk charges.  Every count below is exactly the number of per-tuple
    charges the tuple-at-a-time interpreter makes for the same plan over
-   the same data, so the two engines price identically — only dispatch
-   cost (wall-clock) differs. *)
+   the same data, so the two price identically — only dispatch cost
+   (wall-clock) differs. *)
 
 let note_scanned io n =
   if n > 0 && Io.counting io then Metrics.incr ~n (Io.metrics io) Metrics.Tuples_scanned
@@ -162,7 +162,7 @@ let stage_of_probe (p : Plan.join_probe) =
    non-empty outer batch that reaches it.  The interpreter rescans the
    inner per outer tuple, but per-operation page dedup makes those
    rescans free, so one real read charges the same — and an empty outer
-   never touches the inner in either engine.  The residual's verdict per
+   never touches the inner in either.  The residual's verdict per
    inner row is precomputed alongside.
 
    An index probe memoizes (key -> residual-filtered matches) for the
@@ -304,8 +304,7 @@ let plan t = t.plan
 let pipeline t = t.pipeline
 
 (* Execution entry points.  None of these wrap [Io.with_touch_dedup] or
-   bump [Plans_executed] — {!Executor} owns that, identically for both
-   engines. *)
+   bump [Plans_executed] — {!Executor} owns that. *)
 
 (* Collect emitted batches and stitch them into one list afterwards:
    each result row costs exactly one cons. *)

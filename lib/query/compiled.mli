@@ -5,7 +5,7 @@
     index accessors up front (all uncharged compile-time work), so
     execution runs batch-at-a-time with no per-tuple dispatch:
 
-    - the base access path produces ~{!batch_size}-row columnar batches
+    - the base access path produces columnar batches of up to 1024 rows
       (scan chunks, hash-point fetch, or B-tree range in key order);
     - each join probe is one stage — an index probe per outer row, or a
       scan join against an inner relation read once per execution;
@@ -16,16 +16,14 @@
     what the tuple-at-a-time interpreter charges for the same plan over
     the same data — same pages (through the same storage calls, under the
     caller's per-operation dedup), same [C1] screens, same
-    [Tuples_scanned], and the same result-tuple order.  CI asserts the
-    resulting simulated-cost output is byte-identical between engines.
+    [Tuples_scanned], and the same result-tuple order.  The tests keep
+    that interpreter as a reference and check the parity as a property
+    over random plans and the paper's workload.
 
     These entry points do not wrap {!Dbproc_storage.Io.with_touch_dedup}
-    or bump [Plans_executed] — {!Executor} owns that for both engines. *)
+    or bump [Plans_executed] — {!Executor} owns that. *)
 
 open Dbproc_relation
-
-val batch_size : int
-(** Rows per batch (1024). *)
 
 type t
 

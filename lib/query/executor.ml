@@ -1,91 +1,6 @@
 open Dbproc_storage
 open Dbproc_relation
 
-(* ------------------------------------------------------------- engines *)
-
-type engine = Tuple_interp | Batch_compiled
-
-let engine_of_env () =
-  match Sys.getenv_opt "DBPROC_ENGINE" with
-  | Some ("interp" | "tuple") -> Tuple_interp
-  | _ -> Batch_compiled
-
-let engine = ref (engine_of_env ())
-let current_engine () = !engine
-let set_engine e = engine := e
-
-(* ----------------------------------------- tuple-at-a-time interpreter *)
-
-let charge_screen io = Cost.cpu_screen (Io.cost io)
-
-let note_scanned io =
-  if Io.counting io then Dbproc_obs.Metrics.incr (Io.metrics io) Dbproc_obs.Metrics.Tuples_scanned
-
-let run_access (plan : Plan.t) =
-  let rel = plan.base_rel in
-  let io = Relation.io rel in
-  match plan.access with
-  | Plan.Full_scan { residual } ->
-    let out = ref [] in
-    Relation.scan rel ~f:(fun _rid tuple ->
-        note_scanned io;
-        charge_screen io;
-        if Predicate.eval residual tuple then out := tuple :: !out);
-    List.rev !out
-  | Plan.Hash_point { attr; key; residual } ->
-    Relation.fetch_by_key rel ~attr key
-    |> List.filter_map (fun (_rid, tuple) ->
-           charge_screen io;
-           if Predicate.eval residual tuple then Some tuple else None)
-  | Plan.Btree_range { attr; lo; hi; residual } -> (
-    match Relation.btree_on rel ~attr with
-    | None ->
-      invalid_arg
-        (Printf.sprintf "Executor: plan expects a btree on %s.%s" (Relation.name rel) attr)
-    | Some btree ->
-      (* fold directly in range order: one reversal of the accumulated
-         output, not two of the rid list *)
-      let out = ref [] in
-      Dbproc_index.Btree.range btree ~lo ~hi ~f:(fun _k rid ->
-          let tuple = Relation.get rel rid in
-          note_scanned io;
-          charge_screen io;
-          if Predicate.eval residual tuple then out := tuple :: !out);
-      List.rev !out)
-
-let run_probe (probe : Plan.join_probe) outer_tuples =
-  let io = Relation.io probe.probe_rel in
-  if probe.use_index then
-    List.concat_map
-      (fun outer ->
-        charge_screen io;
-        let key = Tuple.get outer probe.outer_attr in
-        Relation.fetch_by_key probe.probe_rel ~attr:probe.probe_attr key
-        |> List.filter_map (fun (_rid, inner) ->
-               if Predicate.eval probe.residual inner then Some (Tuple.concat outer inner)
-               else None))
-      outer_tuples
-  else begin
-    (* Scan join: read the inner relation once (page dedup makes repeated
-       scans free within this query) and test every pair.  One C1 per
-       outer tuple per inner tuple — the quadratic CPU a real nested loop
-       pays. *)
-    let probe_pos = Schema.index_of (Relation.schema probe.probe_rel) probe.probe_attr in
-    List.concat_map
-      (fun outer ->
-        let key = Tuple.get outer probe.outer_attr in
-        let out = ref [] in
-        Relation.scan probe.probe_rel ~f:(fun _rid inner ->
-            note_scanned io;
-            charge_screen io;
-            if
-              Predicate.eval_op probe.op key (Tuple.get inner probe_pos)
-              && Predicate.eval probe.residual inner
-            then out := Tuple.concat outer inner :: !out);
-        List.rev !out)
-      outer_tuples
-  end
-
 (* ------------------------------------------------- prepared statements *)
 
 type prepared = { plan : Plan.t; mutable compiled : Compiled.t option }
@@ -100,36 +15,23 @@ let compiled_of p =
     p.compiled <- Some c;
     c
 
-let plan_of p = p.plan
-
 (* ------------------------------------------------------- entry points *)
 
 let run_prepared (p : prepared) =
-  let plan = p.plan in
-  let io = Relation.io plan.base_rel in
+  let io = Relation.io p.plan.base_rel in
   if Io.counting io then Dbproc_obs.Metrics.incr (Io.metrics io) Dbproc_obs.Metrics.Plans_executed;
-  Io.with_touch_dedup io (fun () ->
-      match !engine with
-      | Batch_compiled -> Compiled.execute (compiled_of p)
-      | Tuple_interp ->
-        let base = run_access plan in
-        List.fold_left (fun acc pr -> run_probe pr acc) base plan.probes)
+  Io.with_touch_dedup io (fun () -> Compiled.execute (compiled_of p))
 
 let run plan = run_prepared (prepare plan)
 
 let run_base (plan : Plan.t) =
   let io = Relation.io plan.base_rel in
   Io.with_touch_dedup io (fun () ->
-      match !engine with
-      | Batch_compiled -> Compiled.execute_base (Compiled.of_plan { plan with probes = [] })
-      | Tuple_interp -> run_access plan)
+      Compiled.execute_base (Compiled.of_plan { plan with probes = [] }))
 
 let probe_chain ~probes ~outer =
   match probes with
   | [] -> outer
   | first :: _ ->
     let io = Relation.io first.Plan.probe_rel in
-    Io.with_touch_dedup io (fun () ->
-        match !engine with
-        | Batch_compiled -> Compiled.probe_pipeline probes outer
-        | Tuple_interp -> List.fold_left (fun acc p -> run_probe p acc) outer probes)
+    Io.with_touch_dedup io (fun () -> Compiled.probe_pipeline probes outer)

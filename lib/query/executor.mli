@@ -11,25 +11,17 @@
     Tuples flowing between stages are concatenations of the source tuples,
     matching {!View_def.schema}.
 
-    {b Engines.}  Two interchangeable engines execute plans: the original
-    tuple-at-a-time tree interpreter, and the compiled batch pipeline
-    ({!Compiled}, the default).  Both charge identically — the cost model
-    prices page and screen touches, not dispatch — so simulated-cost
-    output is byte-identical whichever engine runs; only wall-clock
-    differs.  The [DBPROC_ENGINE] environment variable ([interp]/[tuple]
-    selects the interpreter; anything else, or unset, the compiled
-    engine) fixes the initial engine, and {!set_engine} switches at run
-    time (tests and the engine-differential CI gate). *)
+    Plans run through the compiled batch pipeline ({!Compiled}).  It
+    charges exactly what a tuple-at-a-time interpreter charges for the
+    same plan — the cost model prices page and screen touches, not
+    dispatch.  The tests keep such an interpreter as a reference and
+    compare it with every entry point below on tuples, pages, screens and
+    simulated milliseconds. *)
 
 open Dbproc_relation
 
-type engine = Tuple_interp | Batch_compiled
-
-val current_engine : unit -> engine
-val set_engine : engine -> unit
-
 val run : Plan.t -> Tuple.t list
-(** Execute a full plan under the current engine. *)
+(** Execute a full plan. *)
 
 val run_base : Plan.t -> Tuple.t list
 (** Execute only the base access path (no probes). *)
@@ -50,8 +42,6 @@ val probe_chain : probes:Plan.join_probe list -> outer:Tuple.t list -> Tuple.t l
 type prepared
 
 val prepare : Plan.t -> prepared
-val plan_of : prepared -> Plan.t
 
 val run_prepared : prepared -> Tuple.t list
-(** Like {!run}; under the compiled engine the pipeline is compiled on
-    first use and reused. *)
+(** Like {!run}; the pipeline is compiled on first use and reused. *)

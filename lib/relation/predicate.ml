@@ -124,7 +124,3 @@ let pp schema ppf terms =
         Format.fprintf ppf "%s %a %a" (Schema.attr schema t.attr).name pp_op t.op Value.pp
           t.value)
       ppf terms
-
-let pp_join ~left ~right ppf jt =
-  Format.fprintf ppf "left.%s %a right.%s" (Schema.attr left jt.left_attr).name pp_op jt.op
-    (Schema.attr right jt.right_attr).name

@@ -16,7 +16,6 @@ type term = { attr : int; op : op; value : Value.t }
 (** [attr] is a positional index into the tuple's schema. *)
 
 val term : attr:int -> op:op -> value:Value.t -> term
-val eval_term : term -> Tuple.t -> bool
 
 type t = term list
 (** Conjunction; the empty list is [true]. *)
@@ -46,4 +45,3 @@ val join_term : left_attr:int -> op:op -> right_attr:int -> join_term
 val eval_join : join_term -> left:Tuple.t -> right:Tuple.t -> bool
 
 val pp : Schema.t -> Format.formatter -> t -> unit
-val pp_join : left:Schema.t -> right:Schema.t -> Format.formatter -> join_term -> unit

@@ -1,7 +1,6 @@
 type t = Value.t array
 
 let create values = Array.of_list values
-let of_array a = Array.copy a
 let arity = Array.length
 
 let get t i =

@@ -3,8 +3,6 @@
 type t
 
 val create : Value.t list -> t
-val of_array : Value.t array -> t
-(** The array is copied. *)
 
 val arity : t -> int
 val get : t -> int -> Value.t
@@ -15,8 +13,8 @@ val unsafe_get : t -> int -> Value.t
     plan-compile time. *)
 
 val unsafe_of_array : Value.t array -> t
-(** Like {!of_array} but without the defensive copy.  The caller must
-    never mutate the array afterwards; used by the batch executor when
+(** A tuple over the array itself, not a copy.  The caller must never
+    mutate the array afterwards; used by the batch executor when
     materializing row views of freshly built columns. *)
 
 val field : Schema.t -> string -> t -> Value.t

@@ -47,7 +47,6 @@ type t = {
   record_bytes : int;
   tconsts : (string, discrimination) Hashtbl.t;
   mutable all_memories : Memory.t list; (* reversed *)
-  mutable n_tconsts : int;
   mutable n_joins : int;
 }
 
@@ -57,14 +56,12 @@ let create ~io ~record_bytes () =
     record_bytes;
     tconsts = Hashtbl.create 8;
     all_memories = [];
-    n_tconsts = 0;
     n_joins = 0;
   }
 
 let io t = t.io
 let memory (m : mem_node) = m.mem
 let memories t = List.rev t.all_memories
-let tconst_count t = t.n_tconsts
 let join_count t = t.n_joins
 
 let fresh_mem t name =
@@ -107,7 +104,6 @@ let add_tconst t ~rel ~pred ~interval ~name =
         idx
     in
     V_idx.add idx ~lo:(to_idx_lo lo) ~hi:(to_idx_hi hi) node);
-  t.n_tconsts <- t.n_tconsts + 1;
   alpha
 
 let add_join t ~left ~right ~on ~name =

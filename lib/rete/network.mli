@@ -63,7 +63,6 @@ val apply_delta : t -> rel:string -> inserted:Tuple.t list -> deleted:Tuple.t li
 val memories : t -> Memory.t list
 (** Every memory in the network, construction order. *)
 
-val tconst_count : t -> int
 val join_count : t -> int
 
 val to_dot : t -> string

@@ -1,10 +1,6 @@
 type rid = { page : int; slot : int }
 
-let pp_rid ppf r = Format.fprintf ppf "(%d,%d)" r.page r.slot
 let rid_equal a b = a.page = b.page && a.slot = b.slot
-
-let rid_compare a b =
-  match compare a.page b.page with 0 -> compare a.slot b.slot | c -> c
 
 type 'a page_data = { slots : 'a option array; mutable used : int }
 

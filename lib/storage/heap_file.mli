@@ -15,9 +15,7 @@ type rid = private { page : int; slot : int }
 (** Record identifier: page number within the file and slot within the
     page. *)
 
-val pp_rid : Format.formatter -> rid -> unit
 val rid_equal : rid -> rid -> bool
-val rid_compare : rid -> rid -> int
 
 type 'a t
 

@@ -63,7 +63,3 @@ let summarize xs =
     p50 = percentile 0.5 xs;
     p95 = percentile 0.95 xs;
   }
-
-let pp_summary ppf s =
-  Format.fprintf ppf "n=%d mean=%.3f sd=%.3f min=%.3f p50=%.3f p95=%.3f max=%.3f"
-    s.count s.mean s.stddev s.min s.p50 s.p95 s.max

@@ -6,8 +6,6 @@ val mean : float list -> float
 val variance : float list -> float
 (** Population variance.  [nan] on the empty list. *)
 
-val stddev : float list -> float
-
 val percentile : float -> float list -> float
 (** [percentile p xs] with [p] in [[0, 1]]; linear interpolation between
     order statistics.  @raise Invalid_argument on an empty list or [p]
@@ -31,5 +29,3 @@ type summary = {
 
 val summarize : float list -> summary
 (** @raise Invalid_argument on the empty list. *)
-
-val pp_summary : Format.formatter -> summary -> unit

@@ -31,7 +31,3 @@ val paper : n:float -> m:float -> k:float -> float
 
     Arguments are real-valued because the paper passes expected (fractional)
     record and block counts. *)
-
-val upper_bound_m : float
-(** The bound [U] below which [paper] returns [min k m] instead of
-    Cardenas' approximation.  The paper uses [U = 2]. *)

@@ -325,112 +325,6 @@ let source_delta_random_property =
         updates;
       Materialized_view.matches_recompute view)
 
-(* --------------------------------------------------- Aggregate views *)
-
-let agg_fixture () =
-  let fx = make_fixture () in
-  (* group the joined view by S.w, count and sum R.k, min/max R.k *)
-  let def = join_def fx 0 40 in
-  let schema = View_def.schema def in
-  let k_pos = Schema.index_of schema "R.k" in
-  let w_pos = Schema.index_of schema "S.w" in
-  let agg =
-    Aggregate_view.create ~record_bytes:100 ~group_by:[ w_pos ]
-      ~aggs:
-        [ Aggregate_view.Count; Aggregate_view.Sum k_pos; Aggregate_view.Min k_pos;
-          Aggregate_view.Max k_pos ]
-      def
-  in
-  (fx, def, agg)
-
-let test_agg_initial () =
-  let _, _, agg = agg_fixture () in
-  (* 40 R rows over 10 S groups: 4 rows per group *)
-  Alcotest.(check int) "10 groups" 10 (Aggregate_view.group_count agg);
-  Alcotest.(check bool) "matches recompute" true (Aggregate_view.matches_recompute agg);
-  match Aggregate_view.find_group agg [ Value.Int 0 ] with
-  | Some row ->
-    (* group w=0 holds k in {0,10,20,30} *)
-    Alcotest.(check bool) "count 4" true (Value.equal (Tuple.get row 1) (Value.Int 4));
-    Alcotest.(check bool) "sum 60" true (Value.equal (Tuple.get row 2) (Value.Float 60.0));
-    Alcotest.(check bool) "min 0" true (Value.equal (Tuple.get row 3) (Value.Int 0));
-    Alcotest.(check bool) "max 30" true (Value.equal (Tuple.get row 4) (Value.Int 30))
-  | None -> Alcotest.fail "group w=0 missing"
-
-let agg_update fx def agg k new_tuple =
-  let rid = Cost.with_disabled fx.cost (fun () -> rid_of fx k) in
-  let old_new =
-    Cost.with_disabled fx.cost (fun () -> Relation.update_batch fx.r [ (rid, new_tuple) ])
-  in
-  let olds = List.map fst old_new and news = List.map snd old_new in
-  Aggregate_view.apply_base_delta agg ~inserted:(screen def news) ~deleted:(screen def olds)
-
-let test_agg_extremum_deletion () =
-  let fx, def, agg = agg_fixture () in
-  (* k=30 is the max of group w=0; moving it out of range must re-derive
-     the max as 20. *)
-  agg_update fx def agg 30 (Tuple.create [ Value.Int 1000; Value.Int 0 ]);
-  (match Aggregate_view.find_group agg [ Value.Int 0 ] with
-  | Some row ->
-    Alcotest.(check bool) "count 3" true (Value.equal (Tuple.get row 1) (Value.Int 3));
-    Alcotest.(check bool) "max re-derived" true (Value.equal (Tuple.get row 4) (Value.Int 20))
-  | None -> Alcotest.fail "group missing");
-  Alcotest.(check bool) "matches recompute" true (Aggregate_view.matches_recompute agg)
-
-let test_agg_group_appears_and_disappears () =
-  let fx, def, agg = agg_fixture () in
-  (* R.v determines the S partner hence the group; rewriting k keeps the
-     group but rewriting both k and v moves a row between groups. *)
-  agg_update fx def agg 7 (Tuple.create [ Value.Int 7; Value.Int 3 ]);
-  (* row k=7 moves from group w=700 to w=300: counts shift *)
-  (match Aggregate_view.find_group agg [ Value.Int 300 ] with
-  | Some row -> Alcotest.(check bool) "count 5" true (Value.equal (Tuple.get row 1) (Value.Int 5))
-  | None -> Alcotest.fail "grown group missing");
-  (match Aggregate_view.find_group agg [ Value.Int 700 ] with
-  | Some row -> Alcotest.(check bool) "count 3" true (Value.equal (Tuple.get row 1) (Value.Int 3))
-  | None -> Alcotest.fail "shrunk group missing");
-  Alcotest.(check bool) "matches recompute" true (Aggregate_view.matches_recompute agg)
-
-let test_agg_read_charges_pages () =
-  let fx, _, agg = agg_fixture () in
-  Cost.reset fx.cost;
-  let rows = Aggregate_view.read agg in
-  Alcotest.(check int) "10 rows" 10 (List.length rows);
-  (* 10 rows at 4/page = 3 pages *)
-  Alcotest.(check int) "3 reads" 3 (Cost.page_reads fx.cost)
-
-let test_agg_rejects_empty () =
-  let fx = make_fixture () in
-  Alcotest.(check bool) "no aggs rejected" true
-    (try
-       ignore (Aggregate_view.create ~record_bytes:100 ~group_by:[ 0 ] ~aggs:[] (select_def fx 0 5));
-       false
-     with Invalid_argument _ -> true)
-
-let agg_random_property =
-  QCheck.Test.make ~name:"aggregate view equals recompute under random updates" ~count:40
-    QCheck.(list_of_size (Gen.int_range 1 12) (pair (int_bound 39) (int_bound 60)))
-    (fun updates ->
-      let fx, def, agg = agg_fixture () in
-      List.iter
-        (fun (victim, new_k) ->
-          match
-            Cost.with_disabled fx.cost (fun () ->
-                Relation.fetch_by_key fx.r ~attr:"k" (Value.Int victim))
-          with
-          | (rid, old_t) :: _ ->
-            let new_t = Tuple.create [ Value.Int new_k; Tuple.get old_t 1 ] in
-            let old_new =
-              Cost.with_disabled fx.cost (fun () ->
-                  Relation.update_batch fx.r [ (rid, new_t) ])
-            in
-            let olds = List.map fst old_new and news = List.map snd old_new in
-            Aggregate_view.apply_base_delta agg ~inserted:(screen def news)
-              ~deleted:(screen def olds)
-          | [] -> ())
-        updates;
-      Aggregate_view.matches_recompute agg)
-
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "avm"
@@ -465,14 +359,5 @@ let () =
           Alcotest.test_case "prefix evaluation charged" `Quick
             test_source_delta_charges_prefix_evaluation;
           qc source_delta_random_property;
-        ] );
-      ( "aggregate_view",
-        [
-          Alcotest.test_case "initial groups" `Quick test_agg_initial;
-          Alcotest.test_case "extremum deletion" `Quick test_agg_extremum_deletion;
-          Alcotest.test_case "group migration" `Quick test_agg_group_appears_and_disappears;
-          Alcotest.test_case "read charges pages" `Quick test_agg_read_charges_pages;
-          Alcotest.test_case "rejects empty aggs" `Quick test_agg_rejects_empty;
-          qc agg_random_property;
         ] );
     ]

@@ -464,6 +464,35 @@ let test_txn_two_clients_block_and_deadlock () =
   (* disconnect cleanup is a no-op once the transaction is gone *)
   Alcotest.(check bool) "abort_client finds nothing" false (Interp.abort_client s ~client:2)
 
+(* A statement that parks and is never retried leaves no transaction
+   open.  Client 0's join takes S on U, then blocks on client 1's X on T;
+   [exec_line] and [exec_script] answer the park as an error and never
+   retry.  Once client 1 commits, client 0 holds nothing, so client 2's
+   write to U runs. *)
+let test_txn_unretried_park_leaves_nothing_open () =
+  List.iter
+    (fun (how, run) ->
+      let s = Interp.create () in
+      List.iter
+        (fun line -> ignore (ok (Interp.exec_line s line)))
+        [ "create T (k = int)"; "create U (k = int)"; "append to T (k = 1)"; "append to U (k = 1)" ];
+      let answer client line =
+        match Interp.exec_client s ~client line with
+        | Interp.O_ok _ -> "ok"
+        | Interp.O_error m | Interp.O_aborted m -> m
+        | Interp.O_blocked _ -> "blocked"
+      in
+      Alcotest.(check string) (how ^ ": begin") "ok" (answer 1 "begin");
+      Alcotest.(check string) (how ^ ": append to T") "ok" (answer 1 "append to T (k = 2)");
+      let msg = err (run s "retrieve (U.all, T.all) where U.k = T.k") in
+      Alcotest.(check bool) (how ^ ": the join is refused as blocked") true
+        (contains msg "blocked on a concurrent transaction");
+      Alcotest.(check string) (how ^ ": commit") "ok" (answer 1 "commit");
+      Alcotest.(check bool) (how ^ ": client 0 holds no transaction") false
+        (Interp.in_transaction s ~client:0);
+      Alcotest.(check string) (how ^ ": client 2 writes U") "ok" (answer 2 "append to U (k = 2)"))
+    [ ("exec_line", Interp.exec_line); ("exec_script", Interp.exec_script) ]
+
 (* ------------------------------------------- printer/parser roundtrip *)
 
 (* Names stay identifiers that are not keywords.  Literals cover every
@@ -611,5 +640,7 @@ let () =
           Alcotest.test_case "control errors" `Quick test_txn_control_errors;
           Alcotest.test_case "two clients: block, deadlock, victim" `Quick
             test_txn_two_clients_block_and_deadlock;
+          Alcotest.test_case "an unretried park leaves nothing open" `Quick
+            test_txn_unretried_park_leaves_nothing_open;
         ] );
     ]

@@ -465,117 +465,6 @@ let test_optimizer_untouched_relation_is_free () =
   let u_cost = List.assoc "U" e.Optimizer.per_relation in
   Alcotest.(check (float 1e-9)) "weighted = U cost" u_cost e.Optimizer.cost_per_update_ms
 
-(* ----------------------------------------------------------- TREAT *)
-
-let test_treat_initial_and_read () =
-  let fx = make_chain_fixture () in
-  let io = Relation.io fx.r in
-  let treat = Treat.create ~io ~record_bytes:100 () in
-  let id = Treat.add_view treat (chain_def fx "V" 0 10) in
-  Alcotest.(check bool) "initial contents match naive" true
-    (multiset_equal (Treat.read treat id) (naive_chain fx 0 10))
-
-let treat_update fx treat k new_v =
-  let old_t = Tuple.create [ Value.Int k; Value.Int (k mod 5) ] in
-  let new_t = Tuple.create [ Value.Int new_v; Value.Int (k mod 5) ] in
-  let found =
-    Cost.with_disabled fx.cost (fun () ->
-        let acc = ref None in
-        Relation.scan fx.r ~f:(fun rid t -> if Tuple.equal t old_t && !acc = None then acc := Some rid);
-        !acc)
-  in
-  match found with
-  | None -> ()
-  | Some rid ->
-    Cost.with_disabled fx.cost (fun () -> ignore (Relation.update fx.r rid new_t));
-    Treat.apply_delta treat ~rel:"R" ~inserted:[ new_t ] ~deleted:[ old_t ]
-
-let test_treat_maintenance () =
-  let fx = make_chain_fixture () in
-  let treat = Treat.create ~io:(Relation.io fx.r) ~record_bytes:100 () in
-  let id = Treat.add_view treat (chain_def fx "V" 0 10) in
-  treat_update fx treat 15 3;
-  (* moves k=15 into the interval *)
-  Alcotest.(check bool) "maintained" true (Treat.matches_recompute treat id);
-  treat_update fx treat 3 99;
-  (* moves k=3 out *)
-  Alcotest.(check bool) "maintained after delete" true (Treat.matches_recompute treat id)
-
-let test_treat_inner_relation_update () =
-  let fx = make_chain_fixture () in
-  let treat = Treat.create ~io:(Relation.io fx.r) ~record_bytes:100 () in
-  let id = Treat.add_view treat (chain_def fx "V" 0 10) in
-  (* modify S in place: b=2's payload c flips parity *)
-  let old_t = Tuple.create [ Value.Int 2; Value.Int 0 ] in
-  let new_t = Tuple.create [ Value.Int 2; Value.Int 1 ] in
-  Cost.with_disabled fx.cost (fun () ->
-      let rid = ref None in
-      Relation.scan fx.s ~f:(fun r t -> if Tuple.equal t old_t && !rid = None then rid := Some r);
-      match !rid with Some r -> ignore (Relation.update fx.s r new_t) | None -> ());
-  Treat.apply_delta treat ~rel:"S" ~inserted:[ new_t ] ~deleted:[ old_t ];
-  Alcotest.(check bool) "inner delta maintained" true (Treat.matches_recompute treat id);
-  Alcotest.(check bool) "contents equal naive" true
-    (multiset_equal (Treat.read treat id) (naive_chain fx 0 10))
-
-let test_treat_shares_alphas () =
-  let fx = make_chain_fixture () in
-  let treat = Treat.create ~io:(Relation.io fx.r) ~record_bytes:100 () in
-  ignore (Treat.add_view treat (chain_def fx "V1" 0 10));
-  ignore (Treat.add_view treat (chain_def fx "V2" 0 10));
-  (* identical chains share all three alphas *)
-  Alcotest.(check int) "3 shared" 3 (Treat.shared_alpha_count treat)
-
-let test_treat_shared_alpha_maintenance () =
-  (* Regression: a token must be applied once per shared alpha node, not
-     once per view using it. *)
-  let fx = make_chain_fixture () in
-  let treat = Treat.create ~io:(Relation.io fx.r) ~record_bytes:100 () in
-  let id1 = Treat.add_view treat (chain_def fx "V1" 0 10) in
-  let id2 = Treat.add_view treat (chain_def fx "V2" 0 10) in
-  treat_update fx treat 15 3;
-  Alcotest.(check bool) "view 1 consistent" true (Treat.matches_recompute treat id1);
-  Alcotest.(check bool) "view 2 consistent" true (Treat.matches_recompute treat id2)
-
-let test_treat_rejects_non_eq () =
-  let fx = make_chain_fixture () in
-  let treat = Treat.create ~io:(Relation.io fx.r) ~record_bytes:100 () in
-  let def =
-    View_def.join
-      (View_def.select ~name:"V" ~rel:fx.r ~restriction:Predicate.always_true)
-      ~rel:fx.s ~restriction:Predicate.always_true ~left:"R.v" ~op:Predicate.Lt ~right:"b"
-  in
-  Alcotest.(check bool) "non-eq rejected" true
-    (try
-       ignore (Treat.add_view treat def);
-       false
-     with Treat.Unsupported _ -> true)
-
-let treat_random_property =
-  QCheck.Test.make ~name:"TREAT equals recompute under random updates" ~count:40
-    QCheck.(list_of_size (Gen.int_range 1 10) (pair (int_bound 19) (int_bound 30)))
-    (fun updates ->
-      let fx = make_chain_fixture () in
-      let treat = Treat.create ~io:(Relation.io fx.r) ~record_bytes:100 () in
-      let id = Treat.add_view treat (chain_def fx "V" 3 12) in
-      List.iter
-        (fun (victim, new_k) ->
-          let found =
-            Cost.with_disabled fx.cost (fun () ->
-                let acc = ref [] in
-                Relation.scan fx.r ~f:(fun rid t -> acc := (rid, t) :: !acc);
-                List.find_opt
-                  (fun (_, t) -> Value.equal (Tuple.get t 0) (Value.Int victim))
-                  !acc)
-          in
-          match found with
-          | None -> ()
-          | Some (rid, old_t) ->
-            let new_t = Tuple.create [ Value.Int new_k; Tuple.get old_t 1 ] in
-            Cost.with_disabled fx.cost (fun () -> ignore (Relation.update fx.r rid new_t));
-            Treat.apply_delta treat ~rel:"R" ~inserted:[ new_t ] ~deleted:[ old_t ])
-        updates;
-      Treat.matches_recompute treat id)
-
 let rvm_equals_recompute_property =
   QCheck.Test.make ~name:"RVM equals naive recompute under random updates" ~count:40
     QCheck.(list_of_size (Gen.int_range 1 10) (pair (int_bound 19) (int_bound 30)))
@@ -647,17 +536,6 @@ let () =
           Alcotest.test_case "shared beta across views" `Quick test_shared_beta_across_views;
           Alcotest.test_case "shared alpha P1/P2" `Quick test_shared_alpha_p1_p2;
           qc rvm_equals_recompute_property;
-        ] );
-      ( "treat",
-        [
-          Alcotest.test_case "initial contents" `Quick test_treat_initial_and_read;
-          Alcotest.test_case "base maintenance" `Quick test_treat_maintenance;
-          Alcotest.test_case "inner relation update" `Quick test_treat_inner_relation_update;
-          Alcotest.test_case "shares alphas" `Quick test_treat_shares_alphas;
-          Alcotest.test_case "shared alpha maintenance (regression)" `Quick
-            test_treat_shared_alpha_maintenance;
-          Alcotest.test_case "rejects non-eq" `Quick test_treat_rejects_non_eq;
-          qc treat_random_property;
         ] );
       ( "optimizer",
         [

@@ -7,21 +7,6 @@
 open Dbproc
 module LM = Proc.Lock_manager
 module TM = Txn.Manager
-module Executor = Query.Executor
-
-(* The rollback differential runs under both execution engines — cache
-   warm-up, oracle accesses and matches_recompute all execute plans, and
-   rollback must restore state the compiled engine reads identically. *)
-let with_engine engine f =
-  let saved = Executor.current_engine () in
-  Executor.set_engine engine;
-  Fun.protect ~finally:(fun () -> Executor.set_engine saved) f
-
-let engine_name = function
-  | Executor.Tuple_interp -> "interp"
-  | Executor.Batch_compiled -> "compiled"
-
-let both_engines = [ Executor.Tuple_interp; Executor.Batch_compiled ]
 
 let fresh_env () =
   let ctx = Obs.Ctx.create () in
@@ -140,8 +125,7 @@ let digest_results rs =
    deletes in a scratch relation, then aborts.  The other never begins.
    Heap contents, index lookups, access results and matches_recompute
    must be indistinguishable afterwards. *)
-let rollback_differential engine kind () =
-  with_engine engine @@ fun () ->
+let rollback_differential kind () =
   let build () =
     let ctx = Obs.Ctx.create () in
     let db = Workload.Database.build ~seed:7 ~ctx ~model:Costmodel.Model.Model1 small_params in
@@ -465,17 +449,13 @@ let () =
             test_upgrade_deadlock_resolution;
         ] );
       ( "rollback",
-        List.concat_map
-          (fun engine ->
-            List.map
-              (fun kind ->
-                Alcotest.test_case
-                  (Printf.sprintf "differential vs never-began oracle (%s, %s)"
-                     (Proc.Manager.kind_name kind) (engine_name engine))
-                  `Quick
-                  (rollback_differential engine kind))
-              Proc.Manager.all_kinds)
-          both_engines );
+        List.map
+          (fun kind ->
+            Alcotest.test_case
+              (Printf.sprintf "differential vs never-began oracle (%s)"
+                 (Proc.Manager.kind_name kind))
+              `Quick (rollback_differential kind))
+          Proc.Manager.all_kinds );
       ( "sim",
         [
           Alcotest.test_case "deterministic stats and blocked time" `Quick
