@@ -1250,6 +1250,16 @@ let bechamel_tests () =
     for i = 0 to 9_999 do
       Index.Hash_index.insert hash i i
     done;
+    (* Shaped like R1's [sel] index (100k entries of 20 bytes, 200 per node):
+       an update moves slot [s] from key [sel_keys.(s)] to a new key. *)
+    let sel = Index.Btree.create ~io ~entry_bytes:20 ~compare:Int.compare () in
+    let sel_keys = Array.init 100_000 Fun.id in
+    Array.iteri (fun slot k -> Index.Btree.insert sel k slot) sel_keys;
+    (* A replica pull reads the newest record of a long log. *)
+    let wal = Storage.Wal.create ~io ~record_bytes:100 () in
+    for i = 1 to 20_000 do
+      ignore (Storage.Wal.append wal i)
+    done;
     let module Ii = Util.Interval_index.Make (Int) in
     let stabber = Ii.create () in
     for i = 0 to 999 do
@@ -1263,10 +1273,16 @@ let bechamel_tests () =
         (Staged.stage (fun () ->
              incr counter;
              ignore (Index.Btree.search btree (!counter * 37 mod 10_000))));
-      Test.make ~name:"micro-btree-insert"
+      Test.make ~name:"micro-btree-update"
         (Staged.stage (fun () ->
              incr counter;
-             Index.Btree.insert btree (!counter mod 10_000) !counter));
+             let slot = !counter mod 100_000 in
+             ignore (Index.Btree.remove sel sel_keys.(slot) (Int.equal slot));
+             sel_keys.(slot) <- !counter * 7919 mod 100_000;
+             Index.Btree.insert sel sel_keys.(slot) slot));
+      Test.make ~name:"micro-wal-pull"
+        (Staged.stage (fun () ->
+             ignore (Storage.Wal.records_from wal (Storage.Wal.next_lsn wal - 1))));
       Test.make ~name:"micro-hash-probe"
         (Staged.stage (fun () ->
              incr counter;

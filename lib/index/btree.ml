@@ -2,16 +2,24 @@ open Dbproc_storage
 
 (* Entries carry an insertion sequence number, making every stored key
    unique.  Duplicate user keys then need no special casing in splits or
-   descents: they are adjacent in composite-key order. *)
+   descents: they are adjacent in composite-key order.
+
+   A node keeps its cells in a sorted array with a live count.  Arrays
+   grow by doubling, up to the overflow cell a split empties; vacated leaf
+   cells are [Vacant], so removed values can be collected. *)
+
+type ('k, 'v) entry = Vacant | Entry of 'k * int * 'v
 
 type ('k, 'v) node =
   | Leaf of {
-      mutable entries : ('k * int * 'v) list; (* sorted by (key, seq) *)
+      mutable entries : ('k, 'v) entry array; (* [0, n) sorted by (key, seq) *)
+      mutable n : int;
       mutable next : int; (* next leaf, -1 if none *)
     }
   | Internal of {
-      mutable keys : ('k * int) list; (* separators *)
-      mutable children : int list; (* length = length keys + 1 *)
+      mutable keys : ('k * int) array; (* separators, [0, nkeys) *)
+      mutable children : int array; (* [0, nkeys] *)
+      mutable nkeys : int;
     }
 
 type ('k, 'v) t = {
@@ -44,7 +52,7 @@ let create ~io ~entry_bytes ~compare () =
       next_seq = 0;
     }
   in
-  t.nodes.(0) <- Some (Leaf { entries = []; next = -1 });
+  t.nodes.(0) <- Some (Leaf { entries = [||]; n = 0; next = -1 });
   t.node_count <- 1;
   t
 
@@ -52,8 +60,8 @@ let entry_count t = t.entry_count
 let height t = t.height
 let capacity t = t.cap
 
-let cmp_composite t (k1, s1) (k2, s2) =
-  match t.compare k1 k2 with 0 -> compare s1 s2 | c -> c
+let cmp_composite t k1 s1 k2 s2 =
+  match t.compare k1 k2 with 0 -> Int.compare s1 s2 | c -> c
 
 let node t id =
   match t.nodes.(id) with
@@ -77,81 +85,83 @@ let alloc t n =
   t.node_count <- id + 1;
   id
 
-(* Number of separators [<= key]: routes equal keys to the child that
-   starts at that separator, which is where insertion placed them. *)
-let route t keys key =
-  let rec go i = function
-    | [] -> i
-    | sep :: rest -> if cmp_composite t sep key <= 0 then go (i + 1) rest else i
-  in
-  go 0 keys
+let entry_key = function Entry (k, _, _) -> k | Vacant -> assert false
+let sep_key (k, _) = k
 
-(* Leftmost child that may contain [key] ignoring sequence numbers. *)
-let route_leftmost t keys key =
-  let rec go i = function
-    | [] -> i
-    | (sep_key, _) :: rest -> if t.compare sep_key key < 0 then go (i + 1) rest else i
-  in
-  go 0 keys
+(* Binary search: the number of cells among [lo, hi) whose key is below
+   [key], or with [~upper] at most [key]. *)
+let rec bound t key_of cells key ~upper lo hi =
+  if lo >= hi then lo
+  else
+    let mid = (lo + hi) / 2 in
+    let c = t.compare (key_of cells.(mid)) key in
+    if c < 0 || (upper && c = 0) then bound t key_of cells key ~upper (mid + 1) hi
+    else bound t key_of cells key ~upper lo mid
 
-let split_list lst at =
-  let rec go acc i = function
-    | rest when i = at -> (List.rev acc, rest)
-    | [] -> (List.rev acc, [])
-    | x :: rest -> go (x :: acc) (i + 1) rest
+(* [cells] with [x] inserted at [i] of its [n] live cells; when full, a copy
+   twice as large (at most [limit] cells) whose spare cells hold [spare]. *)
+let insert_cell cells n i x ~limit ~spare =
+  let cells =
+    if n < Array.length cells then cells
+    else begin
+      let bigger = Array.make (min limit (max 4 (2 * n))) spare in
+      Array.blit cells 0 bigger 0 n;
+      bigger
+    end
   in
-  go [] 0 lst
+  Array.blit cells i cells (i + 1) (n - i);
+  cells.(i) <- x;
+  cells
 
-let rec insert_at id ckey v t =
+(* The new entry's seq exceeds every stored one, so in composite order it
+   follows every equal key: both the leaf position and the child to descend
+   into count the cells whose key is at most [key]. *)
+let rec insert_at id key seq v t =
   match read_node t id with
   | Leaf leaf ->
-    let rec ins = function
-      | [] -> [ (fst ckey, snd ckey, v) ]
-      | ((ek, es, _) as e) :: rest ->
-        if cmp_composite t (ek, es) ckey >= 0 then (fst ckey, snd ckey, v) :: e :: rest
-        else e :: ins rest
-    in
-    leaf.entries <- ins leaf.entries;
-    let n = List.length leaf.entries in
+    let i = bound t entry_key leaf.entries key ~upper:true 0 leaf.n in
+    leaf.entries <-
+      insert_cell leaf.entries leaf.n i (Entry (key, seq, v)) ~limit:(t.cap + 1) ~spare:Vacant;
+    leaf.n <- leaf.n + 1;
+    let n = leaf.n in
     if n <= t.cap then begin
       write_node t id;
       None
     end
     else begin
-      let left, right = split_list leaf.entries ((n + 1) / 2) in
-      let right_id = alloc t (Leaf { entries = right; next = leaf.next }) in
-      leaf.entries <- left;
+      let mid = (n + 1) / 2 in
+      let right = Array.sub leaf.entries mid (n - mid) in
+      let right_id = alloc t (Leaf { entries = right; n = n - mid; next = leaf.next }) in
+      Array.fill leaf.entries mid (n - mid) Vacant;
+      leaf.n <- mid;
       leaf.next <- right_id;
       write_node t id;
       write_node t right_id;
-      let sep = match right with (k, s, _) :: _ -> (k, s) | [] -> assert false in
-      Some (sep, right_id)
+      match right.(0) with Entry (k, s, _) -> Some ((k, s), right_id) | Vacant -> assert false
     end
   | Internal inner -> (
-    let idx = route t inner.keys ckey in
-    let child = List.nth inner.children idx in
-    match insert_at child ckey v t with
+    let idx = bound t sep_key inner.keys key ~upper:true 0 inner.nkeys in
+    match insert_at inner.children.(idx) key seq v t with
     | None -> None
     | Some (sep, new_child) ->
-      let keys_l, keys_r = split_list inner.keys idx in
-      inner.keys <- keys_l @ (sep :: keys_r);
-      let ch_l, ch_r = split_list inner.children (idx + 1) in
-      inner.children <- ch_l @ (new_child :: ch_r);
-      if List.length inner.keys <= t.cap then begin
+      let nkeys = inner.nkeys + 1 in
+      inner.keys <- insert_cell inner.keys inner.nkeys idx sep ~limit:(t.cap + 1) ~spare:sep;
+      inner.children <-
+        insert_cell inner.children nkeys (idx + 1) new_child ~limit:(t.cap + 2) ~spare:(-1);
+      inner.nkeys <- nkeys;
+      if nkeys <= t.cap then begin
         write_node t id;
         None
       end
       else begin
-        let nkeys = List.length inner.keys in
+        (* Separators are never removed, so the cells a split vacates here
+           still point at live ones. *)
         let mid = nkeys / 2 in
-        let keys_left, keys_rest = split_list inner.keys mid in
-        let promoted, keys_right =
-          match keys_rest with k :: rest -> (k, rest) | [] -> assert false
-        in
-        let ch_left, ch_right = split_list inner.children (mid + 1) in
-        let right_id = alloc t (Internal { keys = keys_right; children = ch_right }) in
-        inner.keys <- keys_left;
-        inner.children <- ch_left;
+        let promoted = inner.keys.(mid) in
+        let keys = Array.sub inner.keys (mid + 1) (nkeys - mid - 1) in
+        let children = Array.sub inner.children (mid + 1) (nkeys - mid) in
+        let right_id = alloc t (Internal { keys; children; nkeys = nkeys - mid - 1 }) in
+        inner.nkeys <- mid;
         write_node t id;
         write_node t right_id;
         Some (promoted, right_id)
@@ -161,10 +171,10 @@ let insert t key v =
   if Io.counting t.io then Dbproc_obs.Metrics.incr (Io.metrics t.io) Dbproc_obs.Metrics.Btree_inserts;
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
-  (match insert_at t.root (key, seq) v t with
+  (match insert_at t.root key seq v t with
   | None -> ()
   | Some (sep, right_id) ->
-    let new_root = alloc t (Internal { keys = [ sep ]; children = [ t.root; right_id ] }) in
+    let new_root = alloc t (Internal { keys = [| sep |]; children = [| t.root; right_id |]; nkeys = 1 }) in
     t.root <- new_root;
     t.height <- t.height + 1;
     write_node t new_root);
@@ -175,9 +185,10 @@ let rec leaf_for t id key =
   match read_node t id with
   | Leaf _ -> id
   | Internal inner ->
-    let idx = route_leftmost t inner.keys key in
-    leaf_for t (List.nth inner.children idx) key
+    leaf_for t inner.children.(bound t sep_key inner.keys key ~upper:false 0 inner.nkeys) key
 
+(* Both walks start at the first entry not below [key] and leave the leaf
+   chain at the first leaf holding an entry above it. *)
 let search t key =
   if Io.counting t.io then Dbproc_obs.Metrics.incr (Io.metrics t.io) Dbproc_obs.Metrics.Btree_searches;
   (* acc collects matches most-recent-first; entries are visited in key
@@ -188,14 +199,14 @@ let search t key =
       match read_node t id with
       | Internal _ -> assert false
       | Leaf leaf ->
-        let acc = ref acc in
-        let beyond = ref false in
-        List.iter
-          (fun (k, _, v) ->
-            let c = t.compare k key in
-            if c = 0 then acc := v :: !acc else if c > 0 then beyond := true)
-          leaf.entries;
-        if !beyond then !acc else walk leaf.next !acc
+        let rec collect i acc =
+          if i = leaf.n then walk leaf.next acc
+          else
+            match leaf.entries.(i) with
+            | Entry (k, _, v) when t.compare k key = 0 -> collect (i + 1) (v :: acc)
+            | _ -> acc
+        in
+        collect (bound t entry_key leaf.entries key ~upper:false 0 leaf.n) acc
   in
   List.rev (walk (leaf_for t t.root key) [])
 
@@ -206,31 +217,23 @@ let remove t key pred =
       match read_node t id with
       | Internal _ -> assert false
       | Leaf leaf ->
-        let removed = ref false in
-        let beyond = ref false in
-        let entries =
-          List.filter
-            (fun (k, _, v) ->
-              if !removed then true
-              else begin
-                let c = t.compare k key in
-                if c > 0 then beyond := true;
-                if c = 0 && pred v then begin
-                  removed := true;
-                  false
-                end
-                else true
-              end)
-            leaf.entries
+        let rec scan i =
+          if i = leaf.n then walk leaf.next
+          else
+            match leaf.entries.(i) with
+            | Entry (k, _, v) when t.compare k key = 0 ->
+              if pred v then begin
+                leaf.n <- leaf.n - 1;
+                Array.blit leaf.entries (i + 1) leaf.entries i (leaf.n - i);
+                leaf.entries.(leaf.n) <- Vacant;
+                write_node t id;
+                t.entry_count <- t.entry_count - 1;
+                true
+              end
+              else scan (i + 1)
+            | _ -> false
         in
-        if !removed then begin
-          leaf.entries <- entries;
-          write_node t id;
-          t.entry_count <- t.entry_count - 1;
-          true
-        end
-        else if !beyond then false
-        else walk leaf.next
+        scan (bound t entry_key leaf.entries key ~upper:false 0 leaf.n)
   in
   walk (leaf_for t t.root key)
 
@@ -257,7 +260,7 @@ let range t ~lo ~hi ~f =
       let rec leftmost id =
         match read_node t id with
         | Leaf _ -> id
-        | Internal inner -> leftmost (List.hd inner.children)
+        | Internal inner -> leftmost inner.children.(0)
       in
       leftmost t.root
     | Inclusive b | Exclusive b -> leaf_for t t.root b
@@ -267,14 +270,16 @@ let range t ~lo ~hi ~f =
       match read_node t id with
       | Internal _ -> assert false
       | Leaf leaf ->
-        let past_end = ref false in
-        List.iter
-          (fun (k, _, v) ->
-            if not !past_end then
-              if not (below_hi k) then past_end := true
-              else if above_lo k then f k v)
-          leaf.entries;
-        if not !past_end then walk leaf.next
+        let rec visit i =
+          if i = leaf.n then walk leaf.next
+          else
+            match leaf.entries.(i) with
+            | Entry (k, _, v) when below_hi k ->
+              if above_lo k then f k v;
+              visit (i + 1)
+            | _ -> ()
+        in
+        visit 0
   in
   walk start_leaf
 
@@ -283,49 +288,36 @@ let iter t ~f = range t ~lo:Unbounded ~hi:Unbounded ~f
 let check_invariants t =
   let fail fmt = Format.kasprintf failwith fmt in
   let counted = ref 0 in
+  let live id entries i =
+    match entries.(i) with Entry (k, s, _) -> (k, s) | Vacant -> fail "leaf %d has a vacant cell" id
+  in
+  let before (k1, s1) (k2, s2) = cmp_composite t k1 s1 k2 s2 < 0 in
   let rec check id depth lo hi =
-    (* keys in this subtree must satisfy lo <= k <= hi (composite order) *)
+    (* keys in this subtree must satisfy lo <= k < hi (composite order) *)
     match node t id with
     | Leaf leaf ->
       if depth <> t.height then fail "leaf %d at depth %d, height %d" id depth t.height;
-      let rec sorted = function
-        | (k1, s1, _) :: ((k2, s2, _) :: _ as rest) ->
-          if cmp_composite t (k1, s1) (k2, s2) >= 0 then fail "leaf %d unsorted" id;
-          sorted rest
-        | _ -> ()
-      in
-      sorted leaf.entries;
-      List.iter
-        (fun (k, s, _) ->
-          (match lo with
-          | Some b when cmp_composite t (k, s) b < 0 -> fail "leaf %d below separator" id
-          | _ -> ());
-          match hi with
-          | Some b when cmp_composite t (k, s) b >= 0 -> fail "leaf %d above separator" id
-          | _ -> ())
-        leaf.entries;
-      counted := !counted + List.length leaf.entries
+      for i = 0 to leaf.n - 1 do
+        let e = live id leaf.entries i in
+        if i > 0 && not (before (live id leaf.entries (i - 1)) e) then fail "leaf %d unsorted" id;
+        (match lo with Some b when before e b -> fail "leaf %d below separator" id | _ -> ());
+        match hi with Some b when not (before e b) -> fail "leaf %d above separator" id | _ -> ()
+      done;
+      for i = leaf.n to Array.length leaf.entries - 1 do
+        if leaf.entries.(i) != Vacant then fail "leaf %d keeps a removed entry" id
+      done;
+      counted := !counted + leaf.n
     | Internal inner ->
-      if List.length inner.children <> List.length inner.keys + 1 then
-        fail "internal %d arity mismatch" id;
-      if inner.keys = [] then fail "internal %d empty" id;
-      let rec sorted = function
-        | k1 :: (k2 :: _ as rest) ->
-          if cmp_composite t k1 k2 >= 0 then fail "internal %d unsorted" id;
-          sorted rest
-        | _ -> ()
-      in
-      sorted inner.keys;
-      let bounds =
-        let rec spans prev keys =
-          match keys with
-          | [] -> [ (prev, hi) ]
-          | k :: rest -> (prev, Some k) :: spans (Some k) rest
-        in
-        spans lo inner.keys
-      in
-      List.iter2 (fun child (clo, chi) -> check child (depth + 1) clo chi) inner.children
-        bounds
+      if Array.length inner.children <= inner.nkeys then fail "internal %d arity mismatch" id;
+      if inner.nkeys = 0 then fail "internal %d empty" id;
+      for i = 1 to inner.nkeys - 1 do
+        if not (before inner.keys.(i - 1) inner.keys.(i)) then fail "internal %d unsorted" id
+      done;
+      for i = 0 to inner.nkeys do
+        check inner.children.(i) (depth + 1)
+          (if i = 0 then lo else Some inner.keys.(i - 1))
+          (if i = inner.nkeys then hi else Some inner.keys.(i))
+      done
   in
   check t.root 1 None None;
   if !counted <> t.entry_count then
@@ -336,21 +328,21 @@ let check_invariants t =
   let rec leftmost id =
     match node t id with
     | Leaf _ -> id
-    | Internal inner -> leftmost (List.hd inner.children)
+    | Internal inner -> leftmost inner.children.(0)
   in
   let rec follow id =
     if id <> -1 then
       match node t id with
       | Internal _ -> fail "leaf chain reached internal node"
       | Leaf leaf ->
-        List.iter
-          (fun (k, s, _) ->
-            (match !last with
-            | Some prev when cmp_composite t prev (k, s) >= 0 -> fail "leaf chain unsorted"
-            | _ -> ());
-            last := Some (k, s);
-            incr chain)
-          leaf.entries;
+        for i = 0 to leaf.n - 1 do
+          let e = live id leaf.entries i in
+          (match !last with
+          | Some prev when not (before prev e) -> fail "leaf chain unsorted"
+          | _ -> ());
+          last := Some e;
+          incr chain
+        done;
         follow leaf.next
   in
   follow (leftmost t.root);

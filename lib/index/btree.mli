@@ -11,7 +11,14 @@
     attributes).  Deletion is {e lazy}: entries are removed and nodes may
     underflow, but nodes are not merged — standard practice in systems
     whose workloads do not shrink files, and the cost model only depends on
-    the descent path length. *)
+    the descent path length.
+
+    In memory, a leaf is a sorted array of (key, insertion sequence, value)
+    entries and an internal node a sorted separator array plus a child
+    array, each with a live count.  Arrays grow by doubling up to the one
+    overflow cell a split empties.  Wall-clock work per node visited is a
+    binary search, plus one blit of the cells after the change point when
+    the node is modified; none of it is charged. *)
 
 type ('k, 'v) t
 
@@ -35,8 +42,9 @@ val capacity : _ t -> int
 val insert : ('k, 'v) t -> 'k -> 'v -> unit
 
 val remove : ('k, 'v) t -> 'k -> ('v -> bool) -> bool
-(** [remove t key pred] deletes the first entry with key [key] satisfying
-    [pred] and reports whether one was found. *)
+(** [remove t key pred] deletes the oldest entry with key [key] satisfying
+    [pred] and reports whether one was found.  It walks right along the
+    leaf chain only while no entry in the leaf is greater than [key]. *)
 
 val search : ('k, 'v) t -> 'k -> 'v list
 (** All values stored under an exactly-equal key, in insertion order. *)

@@ -1,6 +1,8 @@
 open Dbproc_storage
 
-type ('k, 'v) page = { id : int; mutable entries : ('k * 'v) list }
+(* A page's entries sit in [entries.(0) .. entries.(fill - 1)], oldest
+   first; the cells past [fill] are [None]. *)
+type ('k, 'v) page = { id : int; entries : ('k * 'v) option array; mutable fill : int }
 
 type ('k, 'v) t = {
   io : Io.t;
@@ -8,7 +10,7 @@ type ('k, 'v) t = {
   per_page : int;
   hash : 'k -> int;
   equal : 'k -> 'k -> bool;
-  buckets : ('k, 'v) page list array; (* chain: page list, first page first *)
+  buckets : ('k, 'v) page array array; (* chain: first page first *)
   mutable pages : int; (* total allocated pages, also next page id *)
   mutable count : int;
 }
@@ -24,7 +26,7 @@ let create ~io ~entry_bytes ~expected_entries ?(hash = Hashtbl.hash) ~equal () =
     per_page;
     hash;
     equal;
-    buckets = Array.make buckets [];
+    buckets = Array.make buckets [||];
     pages = 0;
     count = 0;
   }
@@ -35,8 +37,8 @@ let page_count t = t.pages
 
 let bucket_of t k = abs (t.hash k) mod Array.length t.buckets
 
-let fresh_page t entries =
-  let page = { id = t.pages; entries } in
+let fresh_page t =
+  let page = { id = t.pages; entries = Array.make t.per_page None; fill = 0 } in
   t.pages <- t.pages + 1;
   page
 
@@ -47,67 +49,79 @@ let insert t k v =
   if Io.counting t.io then Dbproc_obs.Metrics.incr (Io.metrics t.io) Dbproc_obs.Metrics.Hash_inserts;
   let b = bucket_of t k in
   let chain = t.buckets.(b) in
-  (* Read along the chain until a page with room is found. *)
-  let rec place = function
-    | [] ->
-      let fresh = fresh_page t [ (k, v) ] in
-      t.buckets.(b) <- chain @ [ fresh ];
-      write_page t fresh
-    | page :: rest ->
-      read_page t page;
-      if List.length page.entries < t.per_page then begin
-        page.entries <- (k, v) :: page.entries;
-        write_page t page
-      end
-      else place rest
+  let add page =
+    page.entries.(page.fill) <- Some (k, v);
+    page.fill <- page.fill + 1;
+    write_page t page
   in
-  place chain;
+  (* Read along the chain until a page with room is found. *)
+  let rec place i =
+    if i = Array.length chain then begin
+      let fresh = fresh_page t in
+      t.buckets.(b) <- Array.append chain [| fresh |];
+      add fresh
+    end
+    else begin
+      read_page t chain.(i);
+      if chain.(i).fill < t.per_page then add chain.(i) else place (i + 1)
+    end
+  in
+  place 0;
   t.count <- t.count + 1
 
+(* Drops the newest entry satisfying [pred] on the first page holding one:
+   each page is scanned newest first. *)
 let remove t k pred =
-  let b = bucket_of t k in
-  let rec go = function
-    | [] -> false
-    | page :: rest ->
-      read_page t page;
-      let removed = ref false in
-      let entries =
-        List.filter
-          (fun (k', v) ->
-            if (not !removed) && t.equal k k' && pred v then begin
-              removed := true;
-              false
-            end
-            else true)
-          page.entries
-      in
-      if !removed then begin
-        page.entries <- entries;
-        write_page t page;
-        t.count <- t.count - 1;
-        true
-      end
-      else go rest
+  let chain = t.buckets.(bucket_of t k) in
+  let rec go i =
+    i < Array.length chain
+    &&
+    let page = chain.(i) in
+    read_page t page;
+    let rec find j =
+      if j < 0 then j
+      else
+        match page.entries.(j) with
+        | Some (k', v) when t.equal k k' && pred v -> j
+        | _ -> find (j - 1)
+    in
+    let j = find (page.fill - 1) in
+    if j < 0 then go (i + 1)
+    else begin
+      page.fill <- page.fill - 1;
+      Array.blit page.entries (j + 1) page.entries j (page.fill - j);
+      page.entries.(page.fill) <- None;
+      write_page t page;
+      t.count <- t.count - 1;
+      true
+    end
   in
-  go t.buckets.(b)
+  go 0
 
 let search t k =
   if Io.counting t.io then Dbproc_obs.Metrics.incr (Io.metrics t.io) Dbproc_obs.Metrics.Hash_probes;
-  let b = bucket_of t k in
-  List.concat_map
-    (fun page ->
-      read_page t page;
-      List.rev (List.filter_map (fun (k', v) -> if t.equal k k' then Some v else None) page.entries))
-    t.buckets.(b)
+  let chain = t.buckets.(bucket_of t k) in
+  Array.iter (read_page t) chain;
+  (* Built back to front: chain order, insertion order within a page. *)
+  let found = ref [] in
+  for i = Array.length chain - 1 downto 0 do
+    let page = chain.(i) in
+    for j = page.fill - 1 downto 0 do
+      match page.entries.(j) with
+      | Some (k', v) when t.equal k k' -> found := v :: !found
+      | _ -> ()
+    done
+  done;
+  !found
 
 let iter t ~f =
   Array.iter
-    (fun chain ->
-      List.iter
-        (fun page ->
-          read_page t page;
-          List.iter (fun (k, v) -> f k v) (List.rev page.entries))
-        chain)
+    (Array.iter (fun page ->
+         read_page t page;
+         for j = 0 to page.fill - 1 do
+           let k, v = Option.get page.entries.(j) in
+           f k v
+         done))
     t.buckets
 
-let chain_length t k = List.length t.buckets.(bucket_of t k)
+let chain_length t k = Array.length t.buckets.(bucket_of t k)

@@ -33,11 +33,14 @@ val insert : ('k, 'v) t -> 'k -> 'v -> unit
     page receiving the entry. *)
 
 val remove : ('k, 'v) t -> 'k -> ('v -> bool) -> bool
-(** Remove the first matching entry in the key's bucket; reads the chain
-    up to the hit and writes the page it was on. *)
+(** Remove one entry under the key satisfying the predicate: the newest
+    such entry on the first chain page that holds one.  The page's other
+    entries keep their order.  Reads the chain up to that page and writes
+    it. *)
 
 val search : ('k, 'v) t -> 'k -> 'v list
-(** All values under the key, charging one read per chain page. *)
+(** All values under the key, charging one read per chain page: pages in
+    chain order, each page's values in the order they were inserted. *)
 
 val iter : ('k, 'v) t -> f:('k -> 'v -> unit) -> unit
 (** Visit every entry, one read per page. *)

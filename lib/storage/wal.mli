@@ -33,14 +33,18 @@ val next_lsn : 'a t -> lsn
 (** The lsn the next {!append} will return. *)
 
 val record_count : 'a t -> int
-(** Records currently retained (>= [next_lsn - truncated prefix]). *)
+(** Records currently retained: those appended at or after {!oldest_lsn}
+    that no {!crash} dropped.  O(1). *)
 
 val page_count : 'a t -> int
 (** Full pages on disk plus the tail page if non-empty. *)
 
 val records_from : 'a t -> lsn -> (lsn * 'a) list
-(** All retained records with lsn >= the given one, in order, charging one
-    read per page touched.  Records below the truncation point are gone.
+(** All retained records with lsn >= the given one, in order.  The lsn may
+    fall in a gap a {!crash} left.  Returning [k] records charges
+    [ceil (k / records_per_page)] reads, of log pages 0, 1, ….  Records
+    below the truncation point are gone.  Wall time is O(log n + k) for [n]
+    retained records: a binary search, then a copy of the suffix.
     @raise Invalid_argument if the lsn falls in the truncated prefix. *)
 
 val truncate_before : 'a t -> lsn -> unit

@@ -502,6 +502,104 @@ let test_wal_crash_tears_tail () =
   Alcotest.(check int) "next lsn unchanged" 14 (Wal.next_lsn w);
   Alcotest.(check int) "append continues" 14 (Wal.append w 14)
 
+let wal_state w =
+  Printf.sprintf "n%d d%d p%d o%d x%d" (Wal.record_count w) (Wal.durable_lsn w)
+    (Wal.page_count w) (Wal.oldest_lsn w) (Wal.next_lsn w)
+
+let wal_records_from w lsn =
+  match Wal.records_from w lsn with
+  | records -> String.concat "," (List.map (fun (l, r) -> Printf.sprintf "%d:%d" l r) records)
+  | exception Invalid_argument _ -> "truncated"
+
+(* Seeded script of appends, forces, crashes (which leave lsn gaps),
+   truncations and reads from any lsn around the retained window, gap lsns
+   included.  Every charged touch, every result and the accessors after
+   each step go into a pinned digest, as in test_index. *)
+let test_wal_touch_digest () =
+  let io = Io.direct (Cost.create ()) ~page_bytes:80 in
+  let w = Wal.create ~io ~record_bytes:8 () in
+  let buf = Buffer.create 65536 in
+  Io.set_touch_hook io
+    (Some
+       (fun { Io.op; file; page } ->
+         Printf.bprintf buf "%c%d.%d " (if op = `Read then 'r' else 'w') file page));
+  let rng = Random.State.make [| 37 |] in
+  Fun.protect
+    ~finally:(fun () -> Io.set_touch_hook io None)
+    (fun () ->
+      for step = 1 to 5_000 do
+        let span = Wal.next_lsn w - Wal.oldest_lsn w in
+        (match Random.State.int rng 12 with
+        | n when n < 6 -> Printf.bprintf buf "a%d" (Wal.append w step)
+        | 6 -> Wal.force w
+        | 7 -> Printf.bprintf buf "c%d" (Wal.crash w)
+        | 8 -> Wal.truncate_before w (Wal.oldest_lsn w - 2 + Random.State.int rng (span + 3))
+        | _ ->
+          let lsn = Wal.oldest_lsn w - 1 + Random.State.int rng (span + 3) in
+          Buffer.add_string buf (wal_records_from w lsn));
+        Printf.bprintf buf " %s\n" (wal_state w)
+      done);
+  Alcotest.(check string) "touch trace digest" "55ab956df5498eff694bb0db32c57a30"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+(* Shadow model: the retained records as a list, with the page arithmetic
+   spelled out.  Random appends, forces, crashes, truncations and reads
+   must agree with it on every suffix, on the accessors and on the pages
+   each read charges (the first ceil(k / per_page) log pages). *)
+let wal_vs_model =
+  QCheck.Test.make ~name:"wal matches reference log" ~count:200
+    QCheck.(list (pair (int_bound 5) (int_bound 40)))
+    (fun script ->
+      let io = Io.direct (Cost.create ()) ~page_bytes:40 in
+      let w = Wal.create ~io ~record_bytes:8 () in
+      let per_page = 5 in
+      let reads = ref [] in
+      Io.set_touch_hook io
+        (Some (fun { Io.op; page; _ } -> if op = `Read then reads := page :: !reads));
+      let records = ref [] and next = ref 0 and oldest = ref 0 in
+      let tail = ref 0 and written = ref 0 in
+      let write_tail () =
+        incr written;
+        tail := 0
+      in
+      List.for_all
+        (fun (op, n) ->
+          (match op with
+          | 0 | 1 ->
+            if Wal.append w n <> !next then failwith "append lsn disagreed";
+            records := !records @ [ (!next, n) ];
+            incr next;
+            incr tail;
+            if !tail = per_page then write_tail ()
+          | 2 ->
+            Wal.force w;
+            if !tail > 0 then write_tail ()
+          | 3 ->
+            let durable = !next - !tail in
+            if Wal.crash w <> !tail then failwith "crash lost count disagreed";
+            records := List.filter (fun (l, _) -> l < durable) !records;
+            tail := 0
+          | 4 ->
+            let lsn = !oldest + n - 5 in
+            Wal.truncate_before w lsn;
+            if lsn > !oldest then begin
+              records := List.filter (fun (l, _) -> l >= lsn) !records;
+              oldest := lsn
+            end
+          | _ ->
+            let lsn = !oldest + (n mod max 1 (!next - !oldest + 2)) in
+            reads := [];
+            let wanted = List.filter (fun (l, _) -> l >= lsn) !records in
+            if Wal.records_from w lsn <> wanted then failwith "records_from disagreed";
+            let pages = (List.length wanted + per_page - 1) / per_page in
+            if List.rev !reads <> List.init pages Fun.id then failwith "read charges disagreed");
+          Wal.record_count w = List.length !records
+          && Wal.durable_lsn w = !next - !tail
+          && Wal.page_count w = !written + Bool.to_int (!tail > 0)
+          && Wal.oldest_lsn w = !oldest
+          && Wal.next_lsn w = !next)
+        script)
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "storage"
@@ -567,5 +665,7 @@ let () =
             test_wal_replay_after_truncation;
           Alcotest.test_case "crash tears the volatile tail" `Quick
             test_wal_crash_tears_tail;
+          Alcotest.test_case "touch trace digest" `Quick test_wal_touch_digest;
+          qc wal_vs_model;
         ] );
     ]
